@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -626,6 +627,21 @@ func TestClusterAggregatedViews(t *testing.T) {
 	}
 	if doc.Totals["requests_total"] != wantTotal || wantTotal < 3 {
 		t.Fatalf("totals.requests_total = %v, want the per-node sum %v (>= 3)", doc.Totals["requests_total"], wantTotal)
+	}
+	// The totals key set is part of the aggregate's contract.
+	var totalKeys []string
+	for k := range doc.Totals {
+		totalKeys = append(totalKeys, k)
+	}
+	sort.Strings(totalKeys)
+	wantKeys := []string{
+		"cluster_served", "coalesced", "errors",
+		"gtpn_cache_hits", "gtpn_cache_misses", "in_flight", "leaders",
+		"rejected_busy", "rejected_draining", "rejected_hops", "requests_total",
+		"resp_cache_hits", "resp_cache_misses", "resp_cache_trace_bypass",
+	}
+	if strings.Join(totalKeys, ",") != strings.Join(wantKeys, ",") {
+		t.Fatalf("totals keys = %v, want %v", totalKeys, wantKeys)
 	}
 	// History: interleaved sample times across nodes come back merged in
 	// (unix_ms, node) order, each point tagged with its node.

@@ -19,7 +19,7 @@ import (
 	"repro/internal/gtpn"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/sweep_golden.ndjson")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 const sweepBody = `{"arch":2,"points":[{"conversations":1,"server_compute_us":0},{"conversations":1,"server_compute_us":1140},{"conversations":2,"server_compute_us":0},{"conversations":2,"server_compute_us":1140}]}`
 
