@@ -5,38 +5,29 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
-// Cluster-aggregated observability: GET /metrics?scope=cluster and
-// GET /metrics/history?scope=cluster fan out to every member's local
+// Cluster-aggregated observability: GET /metrics?scope=cluster and the
+// timeline endpoints' ?scope=cluster fan out to every member's local
 // view and merge the snapshots. Ordering is deterministic — members are
-// visited and emitted in sorted order, merged history points are
-// ordered by (unix_ms, node) — so the merged shape never depends on map
-// or arrival order, and a history merge over unchanged samples is
-// byte-identical. (Counter aggregation observes its own collection: the
-// fan-out's GETs are themselves requests the members count.) The
-// fan-out always requests the LOCAL scope, so aggregation can never
-// recurse through the cluster.
-
-// totalKeys are the serving counters summed across nodes into the
-// aggregated view's "totals" section.
-var totalKeys = []string{
-	"cluster_served", "coalesced", "errors", "in_flight", "leaders",
-	"rejected_busy", "rejected_draining", "rejected_hops", "requests_total",
-}
+// visited and emitted in sorted order, merged timeline entries are
+// ordered by (unix_ms, node, seq) — so the merged shape never depends
+// on map or arrival order, and a timeline merge over unchanged entries
+// is byte-identical. (Counter aggregation observes its own collection:
+// the fan-out's GETs are themselves requests the members count.) The
+// metrics totals are summed by service.SumMetrics, so this tier names
+// no metric key. The fan-out always requests the LOCAL scope, so
+// aggregation can never recurse through the cluster.
 
 // AggregateMetrics implements service.ClusterRouter.
 func (n *Node) AggregateMetrics(ctx context.Context) []byte {
 	members := n.Members()
 	nodes := map[string]any{}
-	totals := map[string]any{}
+	var docs []map[string]any
 	unreachable := []string{}
-	var sums = map[string]float64{}
-	var cacheHits, cacheMisses float64
-	var respHits, respMisses, respTraceBypass float64
 	for _, m := range members {
 		doc, err := n.fetchMemberJSON(ctx, m, "/metrics")
 		if err != nil {
@@ -44,90 +35,24 @@ func (n *Node) AggregateMetrics(ctx context.Context) []byte {
 			continue
 		}
 		nodes[m] = doc
-		if serving, ok := doc["serving"].(map[string]any); ok {
-			for _, k := range totalKeys {
-				if v, ok := serving[k].(float64); ok {
-					sums[k] += v
-				}
-			}
-		}
-		if cache, ok := doc["gtpn_cache"].(map[string]any); ok {
-			if v, ok := cache["hits"].(float64); ok {
-				cacheHits += v
-			}
-			if v, ok := cache["misses"].(float64); ok {
-				cacheMisses += v
-			}
-		}
-		if cache, ok := doc["resp_cache"].(map[string]any); ok {
-			if v, ok := cache["hits"].(float64); ok {
-				respHits += v
-			}
-			if v, ok := cache["misses"].(float64); ok {
-				respMisses += v
-			}
-			if v, ok := cache["trace_bypass"].(float64); ok {
-				respTraceBypass += v
-			}
-		}
+		docs = append(docs, doc)
 	}
-	for _, k := range totalKeys {
-		totals[k] = sums[k]
-	}
-	totals["gtpn_cache_hits"] = cacheHits
-	totals["gtpn_cache_misses"] = cacheMisses
-	totals["resp_cache_hits"] = respHits
-	totals["resp_cache_misses"] = respMisses
-	totals["resp_cache_trace_bypass"] = respTraceBypass
 	return service.MarshalDeterministic(map[string]any{
 		"epoch":       n.Epoch(),
 		"members":     members,
 		"nodes":       nodes,
 		"self":        n.self,
-		"totals":      totals,
+		"totals":      service.SumMetrics(docs),
 		"unreachable": unreachable,
 	})
 }
 
-// AggregateHistory implements service.ClusterRouter.
-func (n *Node) AggregateHistory(ctx context.Context) []byte {
-	return n.aggregateTimeline(ctx, "/metrics/history", "points")
-}
-
-// AggregateRequests implements service.ClusterRouter: the cluster-wide
-// recent-request ring, every member's entries tagged with their node
-// and merged on the same deterministic order as history points.
-func (n *Node) AggregateRequests(ctx context.Context) []byte {
-	return n.aggregateTimeline(ctx, "/debug/requests", "requests")
-}
-
-// AggregateHealth implements service.ClusterRouter: every member's
-// peer-health view, entries tagged with the observing node and merged
-// on the same (unix_ms, node, seq) order as history points.
-func (n *Node) AggregateHealth(ctx context.Context) []byte {
-	return n.aggregateTimeline(ctx, "/debug/health", "peers")
-}
-
-// AggregateEvents implements service.ClusterRouter: the cluster-wide
-// event journal, merged on the same deterministic order.
-func (n *Node) AggregateEvents(ctx context.Context) []byte {
-	return n.aggregateTimeline(ctx, "/debug/events", "events")
-}
-
-// aggregateTimeline merges one timestamped list (doc[listKey], each
-// entry carrying unix_ms) from every member: entries are tagged with
-// their node and ordered by (unix_ms, node, per-node sequence), so the
-// merged view is deterministic for unchanged inputs even though member
-// clocks are unrelated.
-func (n *Node) aggregateTimeline(ctx context.Context, path, listKey string) []byte {
+// AggregateTimeline implements service.ClusterRouter: one timestamped
+// list (doc[listKey]) from every member, each entry tagged with its
+// member URL and merged by obs.MergeTimeline.
+func (n *Node) AggregateTimeline(ctx context.Context, path, listKey string) []byte {
 	members := n.Members()
-	type tagged struct {
-		unixMS float64
-		node   string
-		seq    int // original per-node order, for a stable tie-break
-		entry  map[string]any
-	}
-	var merged []tagged
+	var parts []obs.TimelinePart
 	unreachable := []string{}
 	for _, m := range members {
 		doc, err := n.fetchMemberJSON(ctx, m, path)
@@ -136,31 +61,10 @@ func (n *Node) aggregateTimeline(ctx context.Context, path, listKey string) []by
 			continue
 		}
 		entries, _ := doc[listKey].([]any)
-		for i, p := range entries {
-			pm, ok := p.(map[string]any)
-			if !ok {
-				continue
-			}
-			pm["node"] = m
-			ts, _ := pm["unix_ms"].(float64)
-			merged = append(merged, tagged{unixMS: ts, node: m, seq: i, entry: pm})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].unixMS != merged[j].unixMS {
-			return merged[i].unixMS < merged[j].unixMS
-		}
-		if merged[i].node != merged[j].node {
-			return merged[i].node < merged[j].node
-		}
-		return merged[i].seq < merged[j].seq
-	})
-	entries := make([]any, 0, len(merged))
-	for _, t := range merged {
-		entries = append(entries, t.entry)
+		parts = append(parts, obs.TimelinePart{Node: m, Entries: entries})
 	}
 	return service.MarshalDeterministic(map[string]any{
-		listKey:       entries,
+		listKey:       obs.MergeTimeline(parts),
 		"members":     members,
 		"self":        n.self,
 		"unreachable": unreachable,
@@ -172,18 +76,7 @@ func (n *Node) aggregateTimeline(ctx context.Context, path, listKey string) []by
 func (n *Node) fetchMemberJSON(ctx context.Context, member, path string) (map[string]any, error) {
 	var raw []byte
 	if member == n.self {
-		switch path {
-		case "/metrics":
-			raw = n.local.MetricsJSON()
-		case "/debug/requests":
-			raw = n.local.RequestsJSON()
-		case "/debug/health":
-			raw = n.local.HealthJSON()
-		case "/debug/events":
-			raw = n.local.EventsJSON()
-		default:
-			raw = n.local.HistoryJSON()
-		}
+		raw = n.local.LocalBody(path)
 	} else {
 		ctx, cancel := context.WithTimeout(ctx, n.cfg.ControlTimeout)
 		defer cancel()

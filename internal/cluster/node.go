@@ -88,11 +88,7 @@ func (c Config) withDefaults() (Config, error) {
 // and the replica tier.
 type Local interface {
 	Handler() http.Handler
-	MetricsJSON() []byte
-	HistoryJSON() []byte
-	RequestsJSON() []byte
-	HealthJSON() []byte
-	EventsJSON() []byte
+	LocalBody(path string) []byte
 	RespCache() *service.RespCache
 }
 

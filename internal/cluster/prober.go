@@ -110,29 +110,21 @@ func (n *Node) HealthSnapshot() []map[string]any {
 		if m == n.self {
 			continue
 		}
-		entry := map[string]any{
-			"peer":          m,
-			"state":         obs.Healthy.String(),
-			"rtt_ewma_us":   int64(0),
-			"probes":        int64(0),
-			"failures":      int64(0),
-			"consec_fails":  int64(0),
-			"unix_ms":       int64(0),
-			"last_probe_ms": int64(0),
-			"last_err":      "",
-		}
+		var snap obs.PeerHealthSnapshot // unprobed: healthy, all zero
 		if ph := n.health[m]; ph != nil {
-			snap := ph.Snapshot()
-			entry["state"] = snap.State.String()
-			entry["rtt_ewma_us"] = snap.RTTEWMAUS
-			entry["probes"] = snap.Probes
-			entry["failures"] = snap.Failures
-			entry["consec_fails"] = int64(snap.ConsecFails)
-			entry["unix_ms"] = snap.LastChangeMS
-			entry["last_probe_ms"] = snap.LastProbeMS
-			entry["last_err"] = snap.LastErr
+			snap = ph.Snapshot()
 		}
-		out = append(out, entry)
+		out = append(out, map[string]any{
+			"peer":          m,
+			"state":         snap.State.String(),
+			"rtt_ewma_us":   snap.RTTEWMAUS,
+			"probes":        snap.Probes,
+			"failures":      snap.Failures,
+			"consec_fails":  int64(snap.ConsecFails),
+			"unix_ms":       snap.LastChangeMS,
+			"last_probe_ms": snap.LastProbeMS,
+			"last_err":      snap.LastErr,
+		})
 	}
 	return out
 }

@@ -11,9 +11,14 @@
 //   - PeerHealth: a healthy→degraded→unreachable hysteresis state
 //     machine over probe outcomes, with an integer RTT EWMA, so the
 //     forwarding tier can skip known-dead owners proactively.
-//   - Journal: a fixed-capacity ring of structured events (membership
+//   - Journal: a fixed-capacity Ring of structured events (membership
 //     changes, drain, peer transitions, SLO breaches, shed episodes,
 //     cache high-water marks), each also emitted as a slog record.
+//
+// Two shared mechanisms back the serving tier's other timelines too:
+// Ring, the one fixed-capacity buffer (journal, metrics history,
+// recent requests), and MergeTimeline, the one (unix_ms, node, seq)
+// merge (the cluster's ?scope=cluster views and ipctop).
 //
 // Everything here is a pure state machine driven by explicit
 // observations and ticks: no goroutines, no clocks of its own, so tests
@@ -55,9 +60,7 @@ type Event struct {
 // checking.
 type Journal struct {
 	mu     sync.Mutex
-	buf    []Event
-	next   int
-	full   bool
+	ring   *Ring[Event]
 	seq    int64
 	node   string
 	logger *slog.Logger
@@ -72,7 +75,7 @@ func NewJournal(capacity int, logger *slog.Logger, node string) *Journal {
 		capacity = 256
 	}
 	return &Journal{
-		buf:    make([]Event, capacity),
+		ring:   NewRing[Event](capacity),
 		node:   node,
 		logger: logger,
 		now:    time.Now,
@@ -106,12 +109,7 @@ func (j *Journal) Record(typ, subject, detail string) {
 		Subject: subject,
 		Detail:  detail,
 	}
-	j.buf[j.next] = ev
-	j.next++
-	if j.next == len(j.buf) {
-		j.next = 0
-		j.full = true
-	}
+	j.ring.Add(ev)
 	lg := j.logger
 	node := j.node
 	j.mu.Unlock()
@@ -133,12 +131,7 @@ func (j *Journal) Events() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.full {
-		return append([]Event(nil), j.buf[:j.next]...)
-	}
-	out := make([]Event, 0, len(j.buf))
-	out = append(out, j.buf[j.next:]...)
-	return append(out, j.buf[:j.next]...)
+	return j.ring.Items()
 }
 
 // Capacity reports the ring size (0 for a nil journal).
@@ -146,5 +139,5 @@ func (j *Journal) Capacity() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.buf)
+	return j.ring.Cap()
 }

@@ -345,3 +345,43 @@ func TestFormatPPMPct(t *testing.T) {
 		}
 	}
 }
+
+func TestRingWrapAndAgo(t *testing.T) {
+	r := NewRing[int](3)
+	if r.Len() != 0 || len(r.Items()) != 0 || r.Cap() != 3 {
+		t.Fatalf("empty ring: len %d items %v cap %d", r.Len(), r.Items(), r.Cap())
+	}
+	for i := 1; i <= 5; i++ {
+		r.Add(i)
+		if want := min(i, 3); r.Len() != want {
+			t.Fatalf("after %d adds: len %d, want %d", i, r.Len(), want)
+		}
+		if r.Ago(1) != i {
+			t.Fatalf("after %d adds: Ago(1) = %d, want the newest", i, r.Ago(1))
+		}
+	}
+	if got := fmt.Sprint(r.Items()); got != "[3 4 5]" {
+		t.Fatalf("items %s, want [3 4 5] (oldest first after wrap)", got)
+	}
+	if r.Ago(3) != 3 {
+		t.Fatalf("Ago(3) = %d, want the oldest retained", r.Ago(3))
+	}
+}
+
+func TestMergeTimelineOrder(t *testing.T) {
+	entry := func(ms float64, tag string) any { return map[string]any{"unix_ms": ms, "tag": tag} }
+	merged := MergeTimeline([]TimelinePart{
+		{Node: "b", Entries: []any{entry(2, "b0"), entry(1, "b1"), "not an object"}},
+		{Node: "a", Entries: []any{entry(2, "a0"), entry(2, "a1")}},
+	})
+	var got []string
+	for _, e := range merged {
+		em := e.(map[string]any)
+		got = append(got, fmt.Sprint(em["node"], ":", em["tag"]))
+	}
+	// (unix_ms, node, seq): b1 first by time, then a's two entries in
+	// their own order, then b0; the non-object entry is dropped.
+	if want := "b:b1 a:a0 a:a1 b:b0"; strings.Join(got, " ") != want {
+		t.Fatalf("merged order %q, want %q", strings.Join(got, " "), want)
+	}
+}

@@ -184,9 +184,7 @@ type objectiveState struct {
 	curGood  atomic.Int64
 	curTotal atomic.Int64
 
-	ring    []sloSample // shared by all windows; sized to the longest
-	next    int
-	elapsed int // ticks recorded so far, capped at len(ring)
+	ring    *Ring[sloSample] // shared by all windows; sized to the longest
 	windows []sloWindow
 }
 
@@ -207,7 +205,7 @@ func NewTracker(objs []Objective, journal *Journal) *Tracker {
 	t := &Tracker{journal: journal}
 	longest := sloWindowSpec[len(sloWindowSpec)-1].ticks
 	for _, o := range sorted {
-		st := &objectiveState{obj: o, ring: make([]sloSample, longest)}
+		st := &objectiveState{obj: o, ring: NewRing[sloSample](longest)}
 		for _, w := range sloWindowSpec {
 			st.windows = append(st.windows, sloWindow{ticks: w.ticks})
 		}
@@ -250,25 +248,20 @@ func (t *Tracker) Tick(nowMS int64) {
 		// sums self-correct as both samples roll through together.
 		good := st.curGood.Swap(0)
 		total := st.curTotal.Swap(0)
-		cap := len(st.ring)
 		for i := range st.windows {
 			w := &st.windows[i]
-			// Subtract the sample leaving the window BEFORE overwriting
-			// the ring slot — for the longest window that slot is the
-			// one being rewritten this tick.
-			if st.elapsed >= w.ticks {
-				leaving := st.ring[(st.next-w.ticks+cap)%cap]
+			// Subtract the sample leaving the window BEFORE adding this
+			// tick's — for the longest window that sample is the one the
+			// add evicts.
+			if st.ring.Len() >= w.ticks {
+				leaving := st.ring.Ago(w.ticks)
 				w.good -= leaving.good
 				w.total -= leaving.total
 			}
 			w.good += good
 			w.total += total
 		}
-		st.ring[st.next] = sloSample{good: good, total: total}
-		st.next = (st.next + 1) % cap
-		if st.elapsed < cap {
-			st.elapsed++
-		}
+		st.ring.Add(sloSample{good: good, total: total})
 		budget := st.obj.budgetPPM()
 		for i := range st.windows {
 			w := &st.windows[i]

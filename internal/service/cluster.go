@@ -92,12 +92,10 @@ type ClusterRouter interface {
 	// AggregateMetrics fans GET /metrics out to every member and merges
 	// the snapshots with deterministic ordering (sorted member URLs).
 	AggregateMetrics(ctx context.Context) []byte
-	// AggregateHistory fans GET /metrics/history out to every member
-	// and merges the sampled points, ordered by (unix_ms, node).
-	AggregateHistory(ctx context.Context) []byte
-	// AggregateRequests fans GET /debug/requests out to every member
-	// and merges the recent-request rows, ordered by (unix_ms, node).
-	AggregateRequests(ctx context.Context) []byte
+	// AggregateTimeline fans a timeline endpoint (path) out to every
+	// member and merges the doc[listKey] entries, ordered by
+	// (unix_ms, node, seq).
+	AggregateTimeline(ctx context.Context, path, listKey string) []byte
 	// Epoch reports the membership epoch: how many membership changes
 	// this node has applied since start. /healthz echoes it so an
 	// operator can spot a node whose view of the ring has diverged.
@@ -107,12 +105,6 @@ type ClusterRouter interface {
 	// (the peer's last state transition) so the cluster merge orders
 	// entries like every other timeline. Nil while no prober runs.
 	HealthSnapshot() []map[string]any
-	// AggregateHealth fans GET /debug/health out to every member and
-	// merges the peer entries, ordered by (unix_ms, node, seq).
-	AggregateHealth(ctx context.Context) []byte
-	// AggregateEvents fans GET /debug/events out to every member and
-	// merges the journal entries, ordered by (unix_ms, node, seq).
-	AggregateEvents(ctx context.Context) []byte
 }
 
 // checkHops parses the request's forwarding hop count and rejects the
@@ -129,7 +121,7 @@ func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, re
 		return 0, true
 	}
 	if n >= MaxHops {
-		s.metrics.add(&s.metrics.rejectedHops, 1)
+		s.metrics.inc(cRejectedHops)
 		writeErr(w, http.StatusLoopDetected, "forwarding hop limit exceeded",
 			map[string]any{"hops": n, "max_hops": MaxHops})
 		return n, true

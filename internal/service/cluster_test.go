@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"path"
 	"strings"
 	"sync"
 	"testing"
@@ -120,26 +121,15 @@ func (f *fakeRouter) AggregateMetrics(context.Context) []byte {
 	return []byte(`{"aggregated":"metrics"}`)
 }
 
-func (f *fakeRouter) AggregateHistory(context.Context) []byte {
-	return []byte(`{"aggregated":"history"}`)
-}
-
-func (f *fakeRouter) AggregateRequests(context.Context) []byte {
-	return []byte(`{"aggregated":"requests"}`)
+// AggregateTimeline answers {"aggregated":"<last path element>"}.
+func (f *fakeRouter) AggregateTimeline(_ context.Context, p, _ string) []byte {
+	return []byte(`{"aggregated":"` + path.Base(p) + `"}`)
 }
 
 func (f *fakeRouter) Epoch() int64 { return 42 }
 
 func (f *fakeRouter) HealthSnapshot() []map[string]any {
 	return []map[string]any{{"peer": "http://fake:1", "state": "healthy", "unix_ms": int64(0)}}
-}
-
-func (f *fakeRouter) AggregateHealth(context.Context) []byte {
-	return []byte(`{"aggregated":"health"}`)
-}
-
-func (f *fakeRouter) AggregateEvents(context.Context) []byte {
-	return []byte(`{"aggregated":"events"}`)
 }
 
 func (f *fakeRouter) routedSpecs() []ComputeSpec {

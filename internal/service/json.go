@@ -91,33 +91,24 @@ func encodeDet(buf *bytes.Buffer, v any) {
 		}
 		buf.WriteByte('}')
 	case []any:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			encodeDet(buf, e)
-		}
-		buf.WriteByte(']')
+		encodeList(buf, x)
 	case []string:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			encodeDet(buf, e)
-		}
-		buf.WriteByte(']')
+		encodeList(buf, x)
 	case []int64:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteString(strconv.FormatInt(e, 10))
-		}
-		buf.WriteByte(']')
+		encodeList(buf, x)
 	default:
 		panic(fmt.Sprintf("service: cannot encode %T deterministically", v))
 	}
+}
+
+// encodeList renders a JSON array of deterministically encoded values.
+func encodeList[T any](buf *bytes.Buffer, xs []T) {
+	buf.WriteByte('[')
+	for i, e := range xs {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		encodeDet(buf, e)
+	}
+	buf.WriteByte(']')
 }

@@ -7,22 +7,54 @@ import (
 	"repro/internal/obs"
 )
 
-// The obs subsystem's serving surface: GET /debug/health (the peer
-// health map the cluster prober maintains), GET /debug/events (the
-// structured event journal), and the SLO burn-rate section of
-// GET /metrics. Both debug endpoints are drain-exempt and support
-// ?scope=cluster, merged by the cluster tier on the same
-// (unix_ms, node, seq) order every merged timeline here uses.
+// The obs subsystem's serving surface: the timeline endpoints —
+// GET /metrics/history, /debug/requests, /debug/health (the peer health
+// map the cluster prober maintains) and /debug/events (the structured
+// event journal) — and the SLO burn-rate section of GET /metrics. Every
+// timeline is drain-exempt and supports ?scope=cluster, merged by the
+// cluster tier on the one (unix_ms, node, seq) order (obs.MergeTimeline).
 
-// handleDebugHealth reports this node's view of its peers' health.
-// Single-node operation has no peers; the endpoint still answers with
-// an empty list so pollers need not care about the deployment shape.
-func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateHealth(r.Context()))
-		return
+// timeline is an observability endpoint whose cluster scope merges one
+// list (listKey) from every member's local body on (unix_ms, node, seq).
+type timeline struct {
+	route, path, listKey string
+	local                func(*Server) []byte
+}
+
+// timelines are the four such endpoints: the metrics history, the
+// recent-request ring, the peer-health map and the event journal.
+var timelines = []timeline{
+	{"history", "/metrics/history", "points", (*Server).HistoryJSON},
+	{"requests", "/debug/requests", "requests", (*Server).RequestsJSON},
+	{"health", "/debug/health", "peers", (*Server).HealthJSON},
+	{"events", "/debug/events", "events", (*Server).EventsJSON},
+}
+
+// handleTimeline serves this node's own body, or with ?scope=cluster the
+// cluster tier's merge of every member's list.
+func (s *Server) handleTimeline(tl timeline) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
+			writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateTimeline(r.Context(), tl.path, tl.listKey))
+			return
+		}
+		writeDet(w, http.StatusOK, nil, tl.local(s))
 	}
-	writeDet(w, http.StatusOK, nil, s.HealthJSON())
+}
+
+// LocalBody renders this node's own body for an aggregatable path —
+// /metrics or a timeline — as the self entry of a cluster view; nil for
+// any other path.
+func (s *Server) LocalBody(path string) []byte {
+	if path == "/metrics" {
+		return s.MetricsJSON()
+	}
+	for _, tl := range timelines {
+		if tl.path == path {
+			return tl.local(s)
+		}
+	}
+	return nil
 }
 
 // HealthJSON renders this node's own /debug/health body — the local
@@ -43,16 +75,6 @@ func (s *Server) HealthJSON() []byte {
 		"epoch": epoch,
 		"peers": peers,
 	})
-}
-
-// handleDebugEvents reports the node's structured event journal,
-// oldest first.
-func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateEvents(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.EventsJSON())
 }
 
 // EventsJSON renders this node's own /debug/events body — the local
@@ -109,10 +131,6 @@ func (s *Server) sloJSON() map[string]any {
 // TickSLO closes the current SLO sample and rolls the windows forward.
 // ipcd drives it once per second; tests call it with fixed times.
 func (s *Server) TickSLO(t time.Time) { s.slo.Tick(t.UnixMilli()) }
-
-// SLOSnapshot exposes the tracker's state — the Prometheus exposition
-// and tests read it.
-func (s *Server) SLOSnapshot() []obs.ObjectiveSnapshot { return s.slo.Snapshot() }
 
 // shedEpisodeGapMS separates load-shedding episodes in the journal: a
 // burst of 429s is one operational event, so a new shed record is only

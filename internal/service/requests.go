@@ -1,10 +1,9 @@
 package service
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 )
 
 // Request identity and the recent-request ring. Every request gets an
@@ -104,24 +103,10 @@ type requestRecord struct {
 	totalUS   int64
 }
 
-// The setters are nil-safe: handlers reach the record through their
-// ResponseWriter (recordOf), which yields nil when a test drives a
-// handler without the instrument wrapper.
-
-func (rec *requestRecord) setKey(key string) {
-	if rec != nil {
-		rec.key = key
-	}
-}
-
-func (rec *requestRecord) setHops(hops int) {
-	if rec != nil {
-		rec.hops = hops
-	}
-}
-
+// setDecision records how the request was answered (decisionNone is
+// ignored).
 func (rec *requestRecord) setDecision(d decision) {
-	if rec != nil && d != decisionNone {
+	if d != decisionNone {
 		rec.decision = d
 	}
 }
@@ -129,126 +114,59 @@ func (rec *requestRecord) setDecision(d decision) {
 // defaultDecision sets d only when no earlier stage decided — the
 // leader's local compute must not overwrite a hop-cap classification.
 func (rec *requestRecord) defaultDecision(d decision) {
-	if rec != nil && rec.decision == decisionNone {
+	if rec.decision == decisionNone {
 		rec.decision = d
 	}
 }
 
-func (rec *requestRecord) setDecodeUS(d time.Duration) {
-	if rec != nil {
-		rec.decodeUS = d.Microseconds()
+// attrs lists the record's fields in access-log order; /debug/requests
+// renders the same fields plus unix_ms.
+func (rec *requestRecord) attrs() []slog.Attr {
+	return []slog.Attr{
+		slog.String("id", rec.id.String()),
+		slog.String("route", rec.route),
+		slog.Int("status", rec.status),
+		slog.String("decision", decisionNames[rec.decision]),
+		slog.Int("hops", rec.hops),
+		slog.String("key", rec.key),
+		slog.Int64("decode_us", rec.decodeUS),
+		slog.Int64("wait_us", rec.waitUS),
+		slog.Int64("route_us", rec.routeUS),
+		slog.Int64("compute_us", rec.computeUS),
+		slog.Int64("total_us", rec.totalUS),
 	}
-}
-
-func (rec *requestRecord) setWaitUS(d time.Duration) {
-	if rec != nil {
-		rec.waitUS = d.Microseconds()
-	}
-}
-
-func (rec *requestRecord) setRouteUS(d time.Duration) {
-	if rec != nil {
-		rec.routeUS = d.Microseconds()
-	}
-}
-
-func (rec *requestRecord) setComputeUS(d time.Duration) {
-	if rec != nil {
-		rec.computeUS = d.Microseconds()
-	}
-}
-
-func (rec *requestRecord) idString() string {
-	if rec == nil {
-		return ""
-	}
-	return rec.id.String()
 }
 
 // recordOf reaches the instrumentation's per-request record through the
 // handler's ResponseWriter. Handlers always run behind instrument in
-// production, so the assertion succeeds; a bare writer yields nil and
-// every record method no-ops.
+// production, so the assertion succeeds; a bare writer (a test driving
+// a handler directly) gets a scratch record nobody reads.
 func recordOf(w http.ResponseWriter) *requestRecord {
 	if sw, ok := w.(*statusWriter); ok {
 		return &sw.rec
 	}
-	return nil
-}
-
-// requestRing retains the records of the last cap(buf) completed
-// requests, oldest evicted first — same shape as the metrics history
-// ring, one row per request instead of per sample.
-type requestRing struct {
-	mu   sync.Mutex
-	buf  []requestRecord
-	next int
-	full bool
-}
-
-func newRequestRing(capacity int) *requestRing {
-	return &requestRing{buf: make([]requestRecord, capacity)}
-}
-
-func (g *requestRing) add(rec *requestRecord) {
-	g.mu.Lock()
-	g.buf[g.next] = *rec
-	g.next++
-	if g.next == len(g.buf) {
-		g.next = 0
-		g.full = true
-	}
-	g.mu.Unlock()
-}
-
-// records returns the retained rows, oldest first.
-func (g *requestRing) records() []requestRecord {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.full {
-		return append([]requestRecord(nil), g.buf[:g.next]...)
-	}
-	out := make([]requestRecord, 0, len(g.buf))
-	out = append(out, g.buf[g.next:]...)
-	return append(out, g.buf[:g.next]...)
-}
-
-// handleDebugRequests reports the recent-request ring, oldest first.
-// ?scope=cluster fans out to every cluster member and merges the rows
-// ordered by (unix_ms, node), like /metrics/history.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "cluster" && s.cfg.Cluster != nil {
-		writeDet(w, http.StatusOK, nil, s.cfg.Cluster.AggregateRequests(r.Context()))
-		return
-	}
-	writeDet(w, http.StatusOK, nil, s.RequestsJSON())
+	return new(requestRecord)
 }
 
 // RequestsJSON renders this node's own /debug/requests body — the local
 // scope. The cluster tier calls it for the self entry of an aggregated
 // view.
 func (s *Server) RequestsJSON() []byte {
-	recs := s.requests.records()
+	m := s.metrics
+	m.mu.Lock()
+	recs := m.requests.Items()
+	capacity := m.requests.Cap()
+	m.mu.Unlock()
 	list := make([]any, 0, len(recs))
 	for i := range recs {
-		rec := &recs[i]
-		list = append(list, map[string]any{
-			"id":         rec.id.String(),
-			"route":      rec.route,
-			"key":        rec.key,
-			"decision":   decisionNames[rec.decision],
-			"status":     rec.status,
-			"hops":       rec.hops,
-			"unix_ms":    rec.unixMS,
-			"decode_us":  rec.decodeUS,
-			"wait_us":    rec.waitUS,
-			"route_us":   rec.routeUS,
-			"compute_us": rec.computeUS,
-			"total_us":   rec.totalUS,
-		})
+		row := map[string]any{"unix_ms": recs[i].unixMS}
+		for _, a := range recs[i].attrs() {
+			row[a.Key] = a.Value.Any()
+		}
+		list = append(list, row)
 	}
 	return marshalDet(map[string]any{
-		"capacity": int64(len(s.requests.buf)),
+		"capacity": int64(capacity),
 		"requests": list,
 	})
 }

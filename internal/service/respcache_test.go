@@ -105,7 +105,7 @@ func TestRespCacheDisabled(t *testing.T) {
 	post(t, ts.URL+"/v1/solve", solveBody)
 	post(t, ts.URL+"/v1/solve", solveBody)
 	s.metrics.mu.Lock()
-	leaders := s.metrics.leaders
+	leaders := s.metrics.counts[cLeaders]
 	s.metrics.mu.Unlock()
 	if leaders != 2 {
 		t.Fatalf("leaders = %d, want 2 with caching off", leaders)
@@ -237,7 +237,7 @@ func TestRespCacheClusterEntitlementGate(t *testing.T) {
 	leaders := func() int64 {
 		s.metrics.mu.Lock()
 		defer s.metrics.mu.Unlock()
-		return s.metrics.leaders
+		return s.metrics.counts[cLeaders]
 	}
 
 	// Not entitled: the compute happens, and the store is skipped too.

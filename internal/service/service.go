@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gtpn"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -174,8 +173,6 @@ type Server struct {
 	// solve/simulate flights must never observe.
 	sweepFlights flightGroup
 	metrics      *metrics
-	history      *historyRing
-	requests     *requestRing
 	respCache    *RespCache   // nil when disabled
 	slo          *obs.Tracker // nil when SLO tracking is disabled
 	start        time.Time
@@ -199,12 +196,10 @@ type Server struct {
 // New creates a Server.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:     cfg.withDefaults(),
-		metrics: newMetrics(),
-		start:   time.Now(),
+		cfg:   cfg.withDefaults(),
+		start: time.Now(),
 	}
-	s.history = newHistoryRing(s.cfg.HistorySize)
-	s.requests = newRequestRing(s.cfg.RecentRequests)
+	s.metrics = newMetrics(s.cfg.HistorySize, s.cfg.RecentRequests)
 	if s.cfg.RespCacheEntries > 0 {
 		s.respCache = newRespCache(s.cfg.RespCacheEntries, s.cfg.RespCacheBytes)
 		if s.cfg.Journal != nil {
@@ -227,10 +222,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.instrument("experiment", s.handleExperiment))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /metrics/history", s.instrument("history", s.handleMetricsHistory))
-	s.mux.HandleFunc("GET /debug/requests", s.instrument("requests", s.handleDebugRequests))
-	s.mux.HandleFunc("GET /debug/health", s.instrument("health", s.handleDebugHealth))
-	s.mux.HandleFunc("GET /debug/events", s.instrument("events", s.handleDebugEvents))
+	for _, tl := range timelines {
+		s.mux.HandleFunc("GET "+tl.path, s.instrument(tl.route, s.handleTimeline(tl)))
+	}
 	return s
 }
 
@@ -254,7 +248,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) InFlight() int64 {
 	s.metrics.mu.Lock()
 	defer s.metrics.mu.Unlock()
-	return s.metrics.inFlight
+	return s.metrics.counts[cInFlight]
 }
 
 // Drain waits until no request is in flight or ctx is done.
@@ -337,8 +331,7 @@ func drainExempt(route string) bool {
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() && !drainExempt(route) {
-			s.metrics.add(&s.metrics.requestsTotal, 1)
-			s.metrics.add(&s.metrics.rejectedDrain, 1)
+			s.metrics.inc(cRequestsTotal, cRejectedDraining)
 			w.Header().Set("Connection", "close")
 			writeErr(w, http.StatusServiceUnavailable, "draining", nil)
 			return
@@ -369,13 +362,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		sw.rec.status = sw.status
 		sw.rec.unixMS = start.UnixMilli()
 		sw.rec.totalUS = d.Microseconds()
-		s.metrics.requestEnd(route, d, sw.status, sw.rec.id)
+		s.metrics.requestEnd(&sw.rec)
 		s.slo.Observe(route, sw.status, sw.rec.totalUS)
 		if sw.status == http.StatusTooManyRequests {
 			s.recordShed(route, sw.rec.unixMS)
-		}
-		if !drainExempt(route) {
-			s.requests.add(&sw.rec)
 		}
 		s.logAccess(&sw.rec)
 		sw.ResponseWriter = nil
@@ -433,19 +423,7 @@ func (s *Server) logAccess(rec *requestRecord) {
 	if lg == nil {
 		return
 	}
-	lg.LogAttrs(context.Background(), slog.LevelInfo, "access",
-		slog.String("id", rec.id.String()),
-		slog.String("route", rec.route),
-		slog.Int("status", rec.status),
-		slog.String("decision", decisionNames[rec.decision]),
-		slog.Int("hops", rec.hops),
-		slog.String("key", rec.key),
-		slog.Int64("decode_us", rec.decodeUS),
-		slog.Int64("wait_us", rec.waitUS),
-		slog.Int64("route_us", rec.routeUS),
-		slog.Int64("compute_us", rec.computeUS),
-		slog.Int64("total_us", rec.totalUS),
-	)
+	lg.LogAttrs(context.Background(), slog.LevelInfo, "access", rec.attrs()...)
 }
 
 // remoteTraceable reports whether a route may serve a remote-traced hop
@@ -600,11 +578,11 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 			sp := sc.Begin("cluster.route", "serve")
 			t0 := time.Now()
 			rr, served := s.cfg.Cluster.Route(rctx, spec)
-			rec.setRouteUS(time.Since(t0))
+			rec.routeUS = time.Since(t0).Microseconds()
 			sp.End()
 			rcancel()
 			if served {
-				s.metrics.add(&s.metrics.clusterServed, 1)
+				s.metrics.inc(cClusterServed)
 				d := decisionFromName(rr.Decision)
 				if d == decisionNone {
 					d = decisionForwarded
@@ -619,7 +597,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		sp := sc.Begin("admission.wait", "serve")
 		t0 := time.Now()
 		release, ok, full := s.acquire(r.Context())
-		rec.setWaitUS(time.Since(t0))
+		rec.waitUS = time.Since(t0).Microseconds()
 		sp.End()
 		if full {
 			return flightResult{
@@ -632,7 +610,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 			return errResult(http.StatusServiceUnavailable, "request cancelled while queued")
 		}
 		defer release()
-		s.metrics.add(&s.metrics.leaders, 1)
+		s.metrics.inc(cLeaders)
 		rec.defaultDecision(decisionLocalCompute)
 		if s.testHookAdmitted != nil {
 			s.testHookAdmitted(spec.Key)
@@ -645,7 +623,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		defer cancel()
 		t1 := time.Now()
 		res := fn(trace.NewContext(ctx, sc))
-		rec.setComputeUS(time.Since(t1))
+		rec.computeUS = time.Since(t1).Microseconds()
 		if res.status == http.StatusOK {
 			if store != nil {
 				store(res.body)
@@ -663,7 +641,7 @@ func (s *Server) coalesce(w http.ResponseWriter, r *http.Request, spec ComputeSp
 		return
 	}
 	if !leader {
-		s.metrics.add(&s.metrics.coalesced, 1)
+		s.metrics.inc(cCoalesced)
 		rec.setDecision(decisionFlightFollower)
 		// A traced follower's wait is the whole story of its request.
 		sc.Instant("coalesced", "serve")
@@ -826,13 +804,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if rejected {
 		return
 	}
-	rec.setHops(hops)
+	rec.hops = hops
 	sc := trace.ScopeFrom(r.Context())
 	var q solveRequest
 	sp := sc.Begin("decode", "serve")
 	t0 := time.Now()
 	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
+	rec.decodeUS = time.Since(t0).Microseconds()
 	sp.End()
 	if !decoded {
 		return
@@ -857,7 +835,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if sc == nil {
 		if ckey, body, ok := s.respCache.getSolve(p); ok && s.cacheServeable(ckey) {
 			s.respCache.served()
-			rec.setKey(ckey)
+			rec.key = ckey
 			rec.setDecision(decisionRespCacheHit)
 			writeDet(w, http.StatusOK, nil, body)
 			return
@@ -872,11 +850,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err.Error(), nil)
 		return
 	}
-	rec.setKey(key)
+	rec.key = key
 	fsp := sc.Begin("forward.encode", "serve")
 	canonical := q.canonicalBody()
 	fsp.End()
-	spec := ComputeSpec{Route: "solve", Key: key, Body: canonical, Hops: hops, RequestID: rec.idString()}
+	spec := ComputeSpec{Route: "solve", Key: key, Body: canonical, Hops: hops, RequestID: rec.id.String()}
 	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
 		pred, err := sys.AnalyzeContext(ctx, q.workload())
 		if err != nil {
@@ -960,13 +938,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if rejected {
 		return
 	}
-	rec.setHops(hops)
+	rec.hops = hops
 	sc := trace.ScopeFrom(r.Context())
 	var q simulateRequest
 	sp := sc.Begin("decode", "serve")
 	t0 := time.Now()
 	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
+	rec.decodeUS = time.Since(t0).Microseconds()
 	sp.End()
 	if !decoded {
 		return
@@ -992,7 +970,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if sc == nil {
 		if ckey, body, ok := s.respCache.getSim(p); ok && s.cacheServeable(ckey) {
 			s.respCache.served()
-			rec.setKey(ckey)
+			rec.key = ckey
 			rec.setDecision(decisionRespCacheHit)
 			writeDet(w, http.StatusOK, nil, body)
 			return
@@ -1004,11 +982,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("sim|a=%d|n=%d|h=%d|x=%s|nl=%t|s=%d|seed=%d|reps=%d",
 		q.Arch, q.Conversations, q.Hosts, formatFloatKey(q.ServerComputeUS),
 		q.NonLocal, q.Seconds, q.Seed, q.Replications)
-	rec.setKey(key)
+	rec.key = key
 	fsp := sc.Begin("forward.encode", "serve")
 	canonical := q.canonicalBody()
 	fsp.End()
-	spec := ComputeSpec{Route: "simulate", Key: key, Body: canonical, Hops: hops, RequestID: rec.idString()}
+	spec := ComputeSpec{Route: "simulate", Key: key, Body: canonical, Hops: hops, RequestID: rec.id.String()}
 	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
 		sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts), core.WithSeed(q.Seed))
 		// One worker per ensemble: the HTTP pool is the concurrency bound.
@@ -1144,47 +1122,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeDet(w, http.StatusOK, nil, s.MetricsJSON())
-}
-
-// MetricsJSON renders this node's own /metrics body — the local scope.
-// The cluster tier calls it for the self entry of an aggregated view.
-func (s *Server) MetricsJSON() []byte {
-	cs := gtpn.SolveCacheStats()
-	es := gtpn.SolverEngineStats()
-	rc := s.respCache.Stats()
-	body := map[string]any{
-		"resp_cache": map[string]any{
-			"bytes":        rc.Bytes,
-			"entries":      rc.Entries,
-			"evictions":    rc.Evictions,
-			"hits":         rc.Hits,
-			"misses":       rc.Misses,
-			"stores":       rc.Stores,
-			"trace_bypass": rc.TraceBypass,
-		},
-		"gtpn_cache": map[string]any{
-			"bypassed": cs.Bypassed,
-			"entries":  int64(cs.Entries),
-			"hits":     cs.Hits,
-			"misses":   cs.Misses,
-		},
-		"gtpn_engine": map[string]any{
-			"graphs_built":          es.GraphsBuilt,
-			"states_explored":       es.StatesExplored,
-			"edges_built":           es.EdgesBuilt,
-			"parallel_class_solves": es.ParallelClassSolves,
-			"graphs_reused":         es.GraphsReused,
-			"warm_starts":           es.WarmStarts,
-			"stationary_sweeps":     es.StationarySweeps,
-		},
-		"serving": s.metrics.snapshot(),
-		"slo":     s.sloJSON(),
-	}
-	body["serving"].(map[string]any)["queue_depth"] = s.queueDepth()
-	if s.cfg.Cluster != nil {
-		body["cluster"] = s.cfg.Cluster.MetricsSnapshot()
-	}
-	return marshalDet(body)
 }
 
 // SetAdmittedTestHook installs a hook that runs in a computation leader

@@ -132,7 +132,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sp := sc.Begin("decode", "serve")
 	t0 := time.Now()
 	decoded := s.decodeBody(w, r, &q)
-	rec.setDecodeUS(time.Since(t0))
+	rec.decodeUS = time.Since(t0).Microseconds()
 	sp.End()
 	if !decoded {
 		return
@@ -156,7 +156,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	wsp := sc.Begin("admission.wait", "serve")
 	t1 := time.Now()
 	release, ok, full := s.acquire(r.Context())
-	rec.setWaitUS(time.Since(t1))
+	rec.waitUS = time.Since(t1).Microseconds()
 	wsp.End()
 	if full {
 		writeDet(w, http.StatusTooManyRequests, map[string]string{"Retry-After": "1"},
@@ -266,9 +266,9 @@ func (s *Server) runSweepRow(ctx context.Context, q *sweepRequest, row sweepRow,
 				}
 			}
 			if leader {
-				s.metrics.add(&s.metrics.leaders, 1)
+				s.metrics.inc(cLeaders)
 			} else {
-				s.metrics.add(&s.metrics.coalesced, 1)
+				s.metrics.inc(cCoalesced)
 				// Following advanced the stream but not our analyzer: the
 				// next leadership must replay.
 				solvedThrough = row.start - 2
