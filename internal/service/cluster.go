@@ -121,7 +121,6 @@ func (s *Server) checkHops(w http.ResponseWriter, r *http.Request) (hops int, re
 		return 0, true
 	}
 	if n >= MaxHops {
-		s.metrics.inc(cRejectedHops)
 		writeErr(w, http.StatusLoopDetected, "forwarding hop limit exceeded",
 			map[string]any{"hops": n, "max_hops": MaxHops})
 		return n, true

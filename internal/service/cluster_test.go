@@ -63,6 +63,7 @@ func TestHopLimitRejection(t *testing.T) {
 	var doc struct {
 		Serving struct {
 			RejectedHops int64 `json:"rejected_hops"`
+			Errors       int64 `json:"errors"`
 		} `json:"serving"`
 	}
 	if err := json.Unmarshal(s.MetricsJSON(), &doc); err != nil {
@@ -70,6 +71,11 @@ func TestHopLimitRejection(t *testing.T) {
 	}
 	if doc.Serving.RejectedHops != 3 {
 		t.Fatalf("rejected_hops = %d, want 3 (the 508s)", doc.Serving.RejectedHops)
+	}
+	// A refusal is counted once: errors holds only the three malformed
+	// headers' 400s, not the 508s.
+	if doc.Serving.Errors != 3 {
+		t.Fatalf("errors = %d, want 3 (the 400s only)", doc.Serving.Errors)
 	}
 }
 

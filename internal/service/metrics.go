@@ -178,6 +178,9 @@ func (m *metrics) requestStart(route string) {
 
 // requestEnd accounts one finished request: its latency, its status
 // class, and — on compute routes — its row in the recent-request ring.
+// It is the one place statuses are classified: a 429 or 508 counts as
+// its refusal, any other status >= 400 as an error. (The 503 drain
+// refusal never reaches here; instrument counts it.)
 func (m *metrics) requestEnd(rec *requestRecord) {
 	m.mu.Lock()
 	m.counts[cInFlight]--
@@ -190,6 +193,8 @@ func (m *metrics) requestEnd(rec *requestRecord) {
 	switch {
 	case rec.status == http.StatusTooManyRequests:
 		m.counts[cRejectedBusy]++
+	case rec.status == http.StatusLoopDetected:
+		m.counts[cRejectedHops]++
 	case rec.status >= 400:
 		m.counts[cErrors]++
 	}
