@@ -4,10 +4,10 @@ package service
 // bounds cover sub-millisecond cache hits through multi-minute full
 // experiment regenerations. Quantiles are derived deterministically
 // from the bucket counts (the estimate is the upper bound of the bucket
-// holding the ranked observation), so two histograms with the same
-// counts always report the same quantiles — which is what lets a load
-// generator's client-side histogram be cross-checked against the
-// daemon's /metrics.
+// holding the ranked observation, clamped to the observed max), so two
+// histograms with the same counts and max always report the same
+// quantiles — which is what lets a load generator's client-side
+// histogram be cross-checked against the daemon's /metrics.
 //
 // Histogram is not internally synchronized; the metrics set guards its
 // histograms with its own mutex, and offline consumers (ipcload)
@@ -92,27 +92,22 @@ func (h *Histogram) Counts() []int64 {
 }
 
 // Quantile reports the upper bound of the bucket holding the q-quantile
-// observation (the conventional histogram estimate); observations in
-// the overflow bucket report the maximum seen.
+// observation (the conventional histogram estimate), clamped to the
+// maximum seen. A bucket's bound can exceed every observation it holds
+// but never undercut one, so the clamp only removes overstatement.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	rank := int64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
+	rank := min(int64(q*float64(h.count)), h.count-1)
 	var seen int64
-	for i, c := range h.counts {
+	for i, c := range h.counts[:len(histBounds)] {
 		seen += c
 		if seen > rank {
-			if i < len(histBounds) {
-				return histBounds[i]
-			}
-			return h.max
+			return min(histBounds[i], h.max)
 		}
 	}
-	return h.max
+	return h.max // the overflow bucket
 }
 
 // clone copies the histogram so a snapshot can be rendered without

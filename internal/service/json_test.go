@@ -65,10 +65,24 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q := h.Quantile(0.50); q != 100 {
 		t.Fatalf("p50 = %v, want 100", q)
 	}
-	if q := h.Quantile(0.99); q != 1_000_000 {
-		t.Fatalf("p99 = %v, want 1e6", q)
+	// The p99 bucket's bound (1e6) exceeds every observation in it, so
+	// the estimate is clamped to the observed max.
+	if q := h.Quantile(0.99); q != 900_000 {
+		t.Fatalf("p99 = %v, want 900000 (the max)", q)
 	}
 	if h.max != 900_000 {
 		t.Fatalf("max = %v", h.max)
+	}
+
+	// All observations in one bucket whose bound lies above the max: no
+	// quantile may exceed the largest observation.
+	one := NewHistogram()
+	for _, us := range []float64{9000, 12000, 14124} {
+		one.Observe(us)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if got := one.Quantile(q); got > one.max || got != 14124 {
+			t.Fatalf("one-bucket p%v = %v, want <= max 14124 (the max itself)", q*100, got)
+		}
 	}
 }
