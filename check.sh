@@ -299,6 +299,10 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark module (perfbench/, its own go.mod) imports
+# internal/service, so an API change that breaks it must fail here, not
+# only when the benchmark is next run.
+(cd perfbench && go vet ./... && go test -short ./...)
 # internal/models alone needs ~9 minutes under the race detector on a
 # single CPU, right against go test's default 10-minute per-package
 # timeout — give the suite explicit headroom so a loaded runner doesn't
