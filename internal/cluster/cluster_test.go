@@ -629,19 +629,19 @@ func TestClusterAggregatedViews(t *testing.T) {
 		t.Fatalf("totals.requests_total = %v, want the per-node sum %v (>= 3)", doc.Totals["requests_total"], wantTotal)
 	}
 	// The totals key set is part of the aggregate's contract.
-	var totalKeys []string
+	var gotKeys []string
 	for k := range doc.Totals {
-		totalKeys = append(totalKeys, k)
+		gotKeys = append(gotKeys, k)
 	}
-	sort.Strings(totalKeys)
+	sort.Strings(gotKeys)
 	wantKeys := []string{
 		"cluster_served", "coalesced", "errors",
 		"gtpn_cache_hits", "gtpn_cache_misses", "in_flight", "leaders",
 		"rejected_busy", "rejected_draining", "rejected_hops", "requests_total",
 		"resp_cache_hits", "resp_cache_misses", "resp_cache_trace_bypass",
 	}
-	if strings.Join(totalKeys, ",") != strings.Join(wantKeys, ",") {
-		t.Fatalf("totals keys = %v, want %v", totalKeys, wantKeys)
+	if strings.Join(gotKeys, ",") != strings.Join(wantKeys, ",") {
+		t.Fatalf("totals keys = %v, want %v", gotKeys, wantKeys)
 	}
 	// History: interleaved sample times across nodes come back merged in
 	// (unix_ms, node) order, each point tagged with its node.
