@@ -29,8 +29,8 @@ func (n *Node) Handler() http.Handler {
 		panic("cluster: Handler called before Bind")
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/v1/join", n.handleMembership("join", n.AddMember))
-	mux.HandleFunc("POST /cluster/v1/leave", n.handleMembership("leave", n.RemoveMember))
+	mux.HandleFunc("POST /cluster/v1/join", n.handleJoin)
+	mux.HandleFunc("POST /cluster/v1/leave", n.handleLeave)
 	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
 	mux.HandleFunc("GET /cluster/v1/members", n.handleMembers)
 	mux.Handle("/", n.local.Handler())
@@ -74,24 +74,36 @@ func (n *Node) membershipBody() map[string]any {
 	}
 }
 
-// handleMembership serves join (apply = AddMember) and leave (apply =
-// RemoveMember): {"node": url} in, the resulting member set out.
-func (n *Node) handleMembership(verb string, apply func(url string) bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		raw, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		var q struct {
-			Node string `json:"node"`
-		}
-		if err := decodeJSON(raw, &q); err != nil || q.Node == "" {
-			writeJSONErr(w, http.StatusBadRequest, verb+" wants {\"node\": url}")
-			return
-		}
-		apply(q.Node)
-		writeJSON(w, http.StatusOK, n.membershipBody())
+func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
 	}
+	var q struct {
+		Node string `json:"node"`
+	}
+	if err := decodeJSON(raw, &q); err != nil || q.Node == "" {
+		writeJSONErr(w, http.StatusBadRequest, "join wants {\"node\": url}")
+		return
+	}
+	n.AddMember(q.Node)
+	writeJSON(w, http.StatusOK, n.membershipBody())
+}
+
+func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	var q struct {
+		Node string `json:"node"`
+	}
+	if err := decodeJSON(raw, &q); err != nil || q.Node == "" {
+		writeJSONErr(w, http.StatusBadRequest, "leave wants {\"node\": url}")
+		return
+	}
+	n.RemoveMember(q.Node)
+	writeJSON(w, http.StatusOK, n.membershipBody())
 }
 
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {

@@ -101,9 +101,9 @@ func (n *Node) peerUnreachable(peer string) bool {
 // HealthSnapshot implements service.ClusterRouter: one entry per
 // current peer, in sorted member order. unix_ms is the peer's last
 // state transition, giving the cluster merge its timeline ordering.
-func (n *Node) HealthSnapshot() []map[string]any {
+func (n *Node) HealthSnapshot() []any {
 	members := n.Members()
-	out := make([]map[string]any, 0, len(members))
+	out := make([]any, 0, len(members))
 	n.healthMu.Lock()
 	defer n.healthMu.Unlock()
 	for _, m := range members {

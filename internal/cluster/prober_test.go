@@ -38,8 +38,8 @@ func probedCluster(t *testing.T, n int, mutate func(i int, ccfg *Config, scfg *s
 // snapshot.
 func peerStateOn(t *testing.T, tc *testCluster, i int, peer string) string {
 	t.Helper()
-	for _, e := range tc.nodes[i].HealthSnapshot() {
-		if e["peer"] == peer {
+	for _, entry := range tc.nodes[i].HealthSnapshot() {
+		if e := entry.(map[string]any); e["peer"] == peer {
 			s, _ := e["state"].(string)
 			return s
 		}

@@ -104,7 +104,7 @@ type ClusterRouter interface {
 	// one deterministically encodable entry per peer, carrying unix_ms
 	// (the peer's last state transition) so the cluster merge orders
 	// entries like every other timeline. Nil while no prober runs.
-	HealthSnapshot() []map[string]any
+	HealthSnapshot() []any
 }
 
 // checkHops parses the request's forwarding hop count and rejects the

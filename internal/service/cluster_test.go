@@ -134,8 +134,8 @@ func (f *fakeRouter) AggregateTimeline(_ context.Context, p, _ string) []byte {
 
 func (f *fakeRouter) Epoch() int64 { return 42 }
 
-func (f *fakeRouter) HealthSnapshot() []map[string]any {
-	return []map[string]any{{"peer": "http://fake:1", "state": "healthy", "unix_ms": int64(0)}}
+func (f *fakeRouter) HealthSnapshot() []any {
+	return []any{map[string]any{"peer": "http://fake:1", "state": "healthy", "unix_ms": int64(0)}}
 }
 
 func (f *fakeRouter) routedSpecs() []ComputeSpec {

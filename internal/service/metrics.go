@@ -125,27 +125,16 @@ type sources struct {
 	engine     gtpn.EngineStats
 }
 
-// values holds one value per table row.
-type values [len(scalars)]int64
-
-func (v *sources) values() values {
-	var out values
-	for i := range scalars {
-		out[i] = scalars[i].read(v)
-	}
-	return out
-}
-
 // sample is one /metrics/history point.
 type sample struct {
 	unixMS int64
-	vals   values
+	src    sources
 }
 
 // snapshot is the one coherent copy every renderer reads: the table's
-// values plus the per-route breakdown.
+// sources plus the per-route breakdown.
 type snapshot struct {
-	vals    values
+	src     sources
 	byRoute map[string]int64
 	latency map[string]*Histogram
 }
@@ -231,7 +220,7 @@ func (s *Server) snapshot() snapshot {
 		hists[r] = h.clone()
 	}
 	m.mu.Unlock()
-	return snapshot{vals: src.values(), byRoute: byRoute, latency: hists}
+	return snapshot{src: src, byRoute: byRoute, latency: hists}
 }
 
 // MetricsJSON renders this node's own /metrics body — the local scope:
@@ -247,7 +236,7 @@ func (s *Server) MetricsJSON() []byte {
 			sec = map[string]any{}
 			body[d.section] = sec
 		}
-		sec[d.key] = snap.vals[i]
+		sec[d.key] = d.read(&snap.src)
 	}
 	byRoute := make(map[string]any, len(snap.byRoute))
 	for r, n := range snap.byRoute {
@@ -295,7 +284,7 @@ func (s *Server) SampleMetrics(t time.Time) {
 	m := s.metrics
 	m.mu.Lock()
 	src.counts = m.counts
-	m.history.Add(sample{unixMS: t.UnixMilli(), vals: src.values()})
+	m.history.Add(sample{unixMS: t.UnixMilli(), src: src})
 	m.mu.Unlock()
 }
 
@@ -312,7 +301,7 @@ func (s *Server) HistoryJSON() []byte {
 		row := map[string]any{"unix_ms": p.unixMS}
 		for i := range scalars {
 			if key := scalars[i].history; key != "" {
-				row[key] = p.vals[i]
+				row[key] = scalars[i].read(&p.src)
 			}
 		}
 		list = append(list, row)

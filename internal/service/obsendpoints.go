@@ -62,13 +62,11 @@ func (s *Server) LocalBody(path string) []byte {
 // view. Each peer entry carries unix_ms (its last state transition) so
 // the cluster merge orders entries like every other timeline.
 func (s *Server) HealthJSON() []byte {
-	peers := make([]any, 0)
+	peers := []any{}
 	var epoch int64
 	if s.cfg.Cluster != nil {
 		epoch = s.cfg.Cluster.Epoch()
-		for _, p := range s.cfg.Cluster.HealthSnapshot() {
-			peers = append(peers, p)
-		}
+		peers = s.cfg.Cluster.HealthSnapshot()
 	}
 	return marshalDet(map[string]any{
 		"node":  s.cfg.NodeName,

@@ -80,7 +80,7 @@ func (s *Server) writeExposition(w io.Writer, om bool) error {
 			}
 		}
 		p.typeLine(name, scalars[i].kind)
-		p.line(name + " " + strconv.FormatInt(snap.vals[i], 10))
+		p.line(name + " " + strconv.FormatInt(scalars[i].read(&snap.src), 10))
 	}
 
 	// SLO burn rates: per-objective, per-window gauges. The values are
