@@ -16,9 +16,10 @@
 //     cache high-water marks), each also emitted as a slog record.
 //
 // Two shared mechanisms back the serving tier's other timelines too:
-// Ring, the one fixed-capacity buffer (journal, metrics history,
-// recent requests), and MergeTimeline, the one (unix_ms, node, seq)
-// merge (the cluster's ?scope=cluster views and ipctop).
+// Ring, the one fixed-capacity buffer (journal, SLO windows, metrics
+// history, recent requests), and MergeTimeline, the one
+// (unix_ms, node, seq) merge (the cluster's ?scope=cluster views and
+// ipctop).
 //
 // Everything here is a pure state machine driven by explicit
 // observations and ticks: no goroutines, no clocks of its own, so tests

@@ -60,7 +60,9 @@ func (s *Server) LocalBody(path string) []byte {
 // HealthJSON renders this node's own /debug/health body — the local
 // scope. The cluster tier calls it for the self entry of an aggregated
 // view. Each peer entry carries unix_ms (its last state transition) so
-// the cluster merge orders entries like every other timeline.
+// the cluster merge orders entries like every other timeline. A
+// single node has no peers and answers an empty list, so pollers need
+// not care about the deployment shape.
 func (s *Server) HealthJSON() []byte {
 	peers := []any{}
 	var epoch int64
