@@ -6,10 +6,10 @@
 //
 // The poll fans out to each node's LOCAL scope and merges client-side
 // (obs.MergeTimeline, the same (unix_ms, node, seq) merge the cluster's
-// own ?scope=cluster views use), so the dashboard works identically against one node, a
-// full cluster, or a partial target list — and keeps working while
-// members are down: a dead node renders as unreachable, it never blanks
-// the view.
+// own ?scope=cluster views use), so the dashboard works identically
+// against one node, a full cluster, or a partial target list — and
+// keeps working while members are down: a dead node renders as
+// unreachable, it never blanks the view.
 //
 // Usage:
 //
