@@ -72,7 +72,7 @@ func (s *Server) writeExposition(w io.Writer, om bool) error {
 	p := &promWriter{w: w, om: om}
 	for i := range scalars {
 		name := scalars[i].promName()
-		if i == 1 {
+		if i > 0 && scalars[i-1].key == "requests_total" {
 			// The per-route breakdown follows the request total.
 			p.typeLine("ipcd_route_requests_total", "counter")
 			for _, r := range routes {
