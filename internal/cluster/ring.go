@@ -1,6 +1,7 @@
 // Package cluster is the distributed serving tier: N ipcd nodes shard
 // the solve/sweep coalescing keyspace by consistent hashing (virtual
-// nodes) over the canonical CoalesceKey-derived flight keys, forward
+// nodes) over the service layer's flight keys (the validated request
+// parameters as one string, e.g. service.SolveKey), forward
 // misses to the owning peer over HTTP, coalesce cluster-wide on the
 // owner's in-flight solve, and replicate hot entries to the key's next
 // replica on the ring. Because every response body is deterministic
@@ -17,9 +18,10 @@ import (
 )
 
 // DefaultVirtualNodes is the ring points each member contributes. 64
-// virtual nodes keep the largest/smallest ownership share within a few
-// tens of percent for small clusters, which is enough to spread a
-// coalescing keyspace whose keys are already high-entropy signatures.
+// well-mixed virtual nodes keep every member's share of the circle
+// within about half of the fair 1/m for small clusters. Request keys are
+// low-entropy parameter strings, so the spread comes from ringHash's
+// final mixing, not from the keys.
 const DefaultVirtualNodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by
@@ -75,12 +77,18 @@ func BuildRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// ringHash is FNV-1a over the string — deterministic across processes
-// and Go versions, which maphash is not.
+// ringHash is FNV-1a over the string, passed through the SplitMix64
+// finalizer (the mixing constants internal/rng uses) — deterministic
+// across processes and Go versions, which maphash is not. FNV-1a alone
+// barely moves the high bits for a short trailing difference, so one
+// member's "#0".."#63" virtual nodes clumped together on the circle.
 func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	f := fnv.New64a()
+	f.Write([]byte(s))
+	h := f.Sum64()
+	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>27) * 0x94D049BB133111EB
+	return h ^ h>>31
 }
 
 // Members reports the ring's member set, sorted.

@@ -31,6 +31,30 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
+// Every member's share of the hash circle lies within half of the fair
+// 1/m either way. Shares are exact arc lengths (each virtual node owns
+// the arc ending at it), so the check does not depend on a key sample.
+func TestRingArcSharesBalanced(t *testing.T) {
+	for _, members := range [][]string{
+		{"http://127.0.0.1:18101", "http://127.0.0.1:18102", "http://127.0.0.1:18103"},
+		{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080", "http://10.0.0.4:8080"},
+	} {
+		r := BuildRing(members, 0)
+		share := map[string]float64{}
+		for i, p := range r.points {
+			prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
+			share[p.node] += float64(p.hash-prev) / (1 << 64) // wraps at i = 0
+		}
+		fair := 1 / float64(len(members))
+		for _, m := range members {
+			if s := share[m]; s < fair/2 || s > 1.5*fair {
+				t.Errorf("%s owns %.1f%% of the circle, want %.1f%%..%.1f%% (shares %v)",
+					m, 100*s, 50*fair, 150*fair, share)
+			}
+		}
+	}
+}
+
 func TestRingCoversAllMembers(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
 	r := BuildRing(members, 0)
