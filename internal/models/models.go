@@ -254,8 +254,8 @@ func (m *LocalModel) SolveContext(ctx context.Context, opts SolveOptions) (Local
 // localResult converts a solved net into the model-level result; shared
 // by the single-point and sweep solve paths.
 func (m *LocalModel) localResult(sol *gtpn.Solution) (LocalResult, error) {
-	if !sol.Converged {
-		return LocalResult{}, fmt.Errorf("models: local model (arch %v, n=%d) did not converge (residual %g)", m.Params.Arch, m.N, sol.Residual)
+	if err := converged(sol, "local", m.Params.Arch, m.N); err != nil {
+		return LocalResult{}, err
 	}
 	lam := sol.Rate(m.doneTransition())
 	res := LocalResult{Throughput: lam, States: sol.States,
@@ -264,6 +264,16 @@ func (m *LocalModel) localResult(sol *gtpn.Solution) (LocalResult, error) {
 		res.RoundTrip = float64(m.N) / lam
 	}
 	return res, nil
+}
+
+// converged is the evidence check every model solve passes before its
+// rates are used: a stationary solve that missed its tolerance is an
+// error, never a result.
+func converged(sol *gtpn.Solution, model string, arch timing.Arch, n int) error {
+	if sol.Converged {
+		return nil
+	}
+	return fmt.Errorf("models: %s model (arch %v, n=%d) did not converge (residual %g)", model, arch, n, sol.Residual)
 }
 
 // utilization converts per-resource usage (mean busy servers) into

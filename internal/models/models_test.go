@@ -2,8 +2,10 @@ package models
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/gtpn"
 	"repro/internal/timing"
 )
 
@@ -131,6 +133,25 @@ func TestLocalModelSimulatorAgreement(t *testing.T) {
 
 // Non-local fixed point: one conversation's round trip approximates the
 // serial sum of the client and server stage means.
+// A solve that missed its tolerance is refused with its residual, not
+// turned into rates: the check the local result and both halves of the
+// non-local fixed point share.
+func TestConvergedRejectsUnconvergedSolution(t *testing.T) {
+	bad := &gtpn.Solution{Converged: false, Residual: 3e-4}
+	err := converged(bad, "client", timing.ArchII, 3)
+	if err == nil || !strings.Contains(err.Error(), "client model (arch") ||
+		!strings.Contains(err.Error(), "did not converge (residual 0.0003)") {
+		t.Fatalf("converged(non-converged) = %v", err)
+	}
+	if err := converged(&gtpn.Solution{Converged: true}, "server", timing.ArchII, 3); err != nil {
+		t.Fatalf("converged(converged) = %v", err)
+	}
+	m := BuildLocal(timing.ArchII, 1, 1, 1140)
+	if _, err := m.localResult(bad); err == nil || !strings.Contains(err.Error(), "local model") {
+		t.Fatalf("localResult(non-converged) = %v", err)
+	}
+}
+
 func TestNonLocalSingleConversation(t *testing.T) {
 	res, err := SolveNonLocal(timing.ArchII, 1, 1, 0, SolveOptions{})
 	if err != nil {

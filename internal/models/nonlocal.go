@@ -151,8 +151,7 @@ func buildServer(arch timing.Arch, n, hosts int, cd, xUS float64) (net *gtpn.Net
 }
 
 // initialSd is the §6.6.3 starting estimate of the surrogate server
-// delay: the sum of the communication time and compute time. It also
-// determines the first client-net iterate, which CoalesceKey signs.
+// delay: the sum of the communication time and compute time.
 func initialSd(sp timing.ServerParams, xUS float64) float64 {
 	return sp.HostRecv + sp.CommRecv + sp.CommMatch + sp.HostCompute + xUS +
 		sp.CommReply + sp.DMAIn + sp.DMAOut
@@ -226,6 +225,9 @@ func SolveNonLocalContext(ctx context.Context, arch timing.Arch, n, hosts int, x
 		if err != nil {
 			return res, fmt.Errorf("models: client model (arch %v, n=%d): %w", arch, n, err)
 		}
+		if err := converged(csol, "client", arch, n); err != nil {
+			return res, err
+		}
 		lam := csol.Rate(cleanup)
 		if lam <= 0 {
 			return res, fmt.Errorf("models: client model produced zero throughput")
@@ -238,6 +240,9 @@ func SolveNonLocalContext(ctx context.Context, arch timing.Arch, n, hosts int, x
 		ssol, err := snet.SolveContext(ctx, opts.gtpnOpts())
 		if err != nil {
 			return res, fmt.Errorf("models: server model (arch %v, n=%d): %w", arch, n, err)
+		}
+		if err := converged(ssol, "server", arch, n); err != nil {
+			return res, err
 		}
 		lamS := ssol.Rate(arrival)
 		if lamS <= 0 {
