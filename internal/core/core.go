@@ -273,14 +273,6 @@ func (s *System) roundTripC(ctx context.Context, nonLocal bool) (float64, error)
 	return res.RoundTrip, nil
 }
 
-// CoalesceKey canonically names this system + workload point for request
-// coalescing: the canonical GTPN net signature of the workload's model
-// (see models.CoalesceKey). Two Systems return the same key exactly when
-// Analyze would solve the same nets.
-func (s *System) CoalesceKey(w Workload) (string, error) {
-	return models.CoalesceKey(s.arch, w.Conversations, s.hosts, w.ServerComputeUS, w.NonLocal)
-}
-
 // Measurement is a machine-level simulation result.
 type Measurement struct {
 	// Throughput in round trips per second.

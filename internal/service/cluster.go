@@ -52,7 +52,7 @@ const MaxHops = 2
 // it from, and the hop count it arrived with.
 type ComputeSpec struct {
 	Route     string // route name: "solve" or "simulate"
-	Key       string // the flight key (canonical net signature + parameters)
+	Key       string // the flight key: the validated request parameters
 	Body      []byte // canonical JSON request body, replayable on a peer
 	Hops      int    // forwarding hops already taken
 	RequestID string // the request's ID, propagated on forwards and pushes

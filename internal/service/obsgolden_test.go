@@ -110,7 +110,7 @@ func TestObservabilityGolden(t *testing.T) {
 	if _, ok := s.respCache.GetKey("k3"); !ok {
 		t.Fatal("replica k3 not cached")
 	}
-	s.respCache.getSolve(solveParams{})
+	s.respCache.get([]byte("k0"))
 	s.respCache.TraceBypass()
 
 	// One request still in flight when the bodies are rendered.

@@ -14,58 +14,27 @@ import (
 // plus one Write: no decode of the solver's answer, no tree build, no
 // re-encode, no per-request buffers.
 //
-// Two indexes cover the two ways a hit arrives:
-//
-//   - The typed parameter indexes (bySolve/bySim) serve the local fast
-//     path. Deriving the canonical flight key for a solve builds a whole
-//     GTPN net just to sign it; a comparable parameter struct is a free
-//     map key, so the fast path never touches the solver at all.
-//   - The string key index (byKey) serves the cluster tier: replica
-//     pushes arrive keyed by the canonical flight key, and Route looks
-//     entries up the same way. Locally computed entries appear in both
-//     indexes; replica pushes only in byKey, so a replica's hit is
-//     always observed (and counted) by the routing layer.
+// One index serves every hit. An entry is keyed by its request's
+// identity — the validated parameters formatted as one string, the same
+// key the flight group, the cluster ring and replica pushes use — so the
+// local fast path formats that key into a scratch buffer and looks it up
+// without allocating. Replica pushes are marked: the local fast path
+// never serves them, so a replica's hit always flows through the cluster
+// routing layer (Node.Route), where it is gated on ring entitlement and
+// counted as a replica hit.
 //
 // Stats live in an internal/counters registry updated under the cache
 // mutex — nil-safe handles, allocation-free updates, exactly the
 // discipline the hardware counters use.
 
-// solveParams is a solve point's identity as a comparable value: the
-// validated request fields, nothing derived.
-type solveParams struct {
-	arch            int
-	conversations   int
-	hosts           int
-	serverComputeUS float64
-	nonLocal        bool
-}
-
-// simParams is a simulate request's identity: the workload point plus
-// the replication ensemble (the seed is part of the request, so it is
-// part of the identity).
-type simParams struct {
-	solveParams
-	seconds      int64
-	seed         uint64
-	replications int
-}
-
 // respEntry is one cached response. The LRU list is intrusive — prev
 // and next live in the entry — so recency updates never allocate.
 type respEntry struct {
 	prev, next *respEntry
-	key        string // canonical flight key
+	key        string // request identity (the flight key)
 	body       []byte // preencoded response; immutable once stored
-	kind       uint8
-	solve      solveParams
-	sim        simParams
+	replica    bool   // pushed by a peer: served only through Route
 }
-
-const (
-	entryKeyOnly uint8 = iota // replica push: flight key only
-	entrySolve
-	entrySim
-)
 
 // RespCacheStats is a point-in-time snapshot of the cache counters.
 type RespCacheStats struct {
@@ -88,8 +57,6 @@ type RespCache struct {
 	curBytes   int64
 	head, tail *respEntry // head = most recently used
 	byKey      map[string]*respEntry
-	bySolve    map[solveParams]*respEntry
-	bySim      map[simParams]*respEntry
 
 	hits        *counters.Counter
 	misses      *counters.Counter
@@ -112,8 +79,6 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 		maxEntries:  maxEntries,
 		maxBytes:    maxBytes,
 		byKey:       map[string]*respEntry{},
-		bySolve:     map[solveParams]*respEntry{},
-		bySim:       map[simParams]*respEntry{},
 		hits:        reg.Counter("resp_cache.hits"),
 		misses:      reg.Counter("resp_cache.misses"),
 		evictions:   reg.Counter("resp_cache.evictions"),
@@ -124,48 +89,33 @@ func newRespCache(maxEntries int, maxBytes int64) *RespCache {
 	}
 }
 
-// getSolve looks a solve point up on the fast path. A miss is counted
+// get looks a request key up on the local fast path; key is the
+// formatted identity in a caller's scratch buffer (the map lookup does
+// not copy it). On a hit it returns the entry's own key string. A miss —
+// including a replica push, which only Route may serve — is counted
 // here; the hit is counted by served() only once the caller decides the
 // entry is actually serveable (cluster entitlement may veto it).
-func (c *RespCache) getSolve(p solveParams) (key string, body []byte, ok bool) {
+func (c *RespCache) get(key []byte) (string, []byte, bool) {
 	if c == nil {
 		return "", nil, false
 	}
 	c.mu.Lock()
-	e := c.bySolve[p]
-	if e == nil {
+	e := c.byKey[string(key)]
+	if e == nil || e.replica {
 		c.misses.Inc()
 		c.mu.Unlock()
 		return "", nil, false
 	}
 	c.moveToFrontLocked(e)
-	key, body = e.key, e.body
+	k, body := e.key, e.body
 	c.mu.Unlock()
-	return key, body, true
-}
-
-// getSim is getSolve for simulate requests.
-func (c *RespCache) getSim(p simParams) (key string, body []byte, ok bool) {
-	if c == nil {
-		return "", nil, false
-	}
-	c.mu.Lock()
-	e := c.bySim[p]
-	if e == nil {
-		c.misses.Inc()
-		c.mu.Unlock()
-		return "", nil, false
-	}
-	c.moveToFrontLocked(e)
-	key, body = e.key, e.body
-	c.mu.Unlock()
-	return key, body, true
+	return k, body, true
 }
 
 // TraceBypass counts one traced request that skipped the fast path: a
 // sampled trace exists to show the full pipeline, so traced requests
-// never consult the typed indexes, and without this counter that skew
-// would be invisible in the hit/miss ratio.
+// never consult the cache, and without this counter that skew would be
+// invisible in the hit/miss ratio.
 func (c *RespCache) TraceBypass() {
 	if c == nil {
 		return
@@ -206,8 +156,8 @@ func (c *RespCache) GetKey(key string) ([]byte, bool) {
 	return body, true
 }
 
-// PutReplica stores a replica-pushed body under its flight key only —
-// never in the typed fast-path indexes, so a replica's hit always flows
+// PutReplica stores a replica-pushed body under its flight key, marked
+// so the local fast path never serves it: a replica's hit always flows
 // through the cluster routing layer (where it is gated on current ring
 // entitlement and counted as a replica hit). Reports whether the entry
 // was stored. The body must not be mutated after the call.
@@ -215,23 +165,15 @@ func (c *RespCache) PutReplica(key string, body []byte) bool {
 	if c == nil || key == "" || len(body) == 0 {
 		return false
 	}
-	return c.put(&respEntry{key: key, body: body, kind: entryKeyOnly})
+	return c.put(&respEntry{key: key, body: body, replica: true})
 }
 
-// putSolve stores a locally computed solve response in both indexes.
-func (c *RespCache) putSolve(p solveParams, key string, body []byte) {
+// putLocal stores a locally computed response.
+func (c *RespCache) putLocal(key string, body []byte) {
 	if c == nil {
 		return
 	}
-	c.put(&respEntry{key: key, body: body, kind: entrySolve, solve: p})
-}
-
-// putSim stores a locally computed simulate response in both indexes.
-func (c *RespCache) putSim(p simParams, key string, body []byte) {
-	if c == nil {
-		return
-	}
-	c.put(&respEntry{key: key, body: body, kind: entrySim, sim: p})
+	c.put(&respEntry{key: key, body: body})
 }
 
 // respCacheHighWaterStart is the first byte high-water mark the cache
@@ -259,30 +201,13 @@ func (c *RespCache) put(e *respEntry) bool {
 	c.mu.Lock()
 	if old := c.byKey[e.key]; old != nil {
 		// Refresh: the body is identical by the determinism contract, but
-		// a local compute upgrades a replica-pushed entry into the typed
-		// fast-path index.
+		// a local compute makes a replica-pushed entry locally serveable.
 		c.moveToFrontLocked(old)
-		if old.kind == entryKeyOnly && e.kind != entryKeyOnly {
-			old.kind = e.kind
-			switch e.kind {
-			case entrySolve:
-				old.solve = e.solve
-				c.bySolve[e.solve] = old
-			case entrySim:
-				old.sim = e.sim
-				c.bySim[e.sim] = old
-			}
-		}
+		old.replica = old.replica && e.replica
 		c.mu.Unlock()
 		return true
 	}
 	c.byKey[e.key] = e
-	switch e.kind {
-	case entrySolve:
-		c.bySolve[e.solve] = e
-	case entrySim:
-		c.bySim[e.sim] = e
-	}
 	c.pushFrontLocked(e)
 	c.curBytes += int64(len(e.body))
 	c.stores.Inc()
@@ -315,12 +240,6 @@ func (c *RespCache) evictLocked() {
 	}
 	c.unlinkLocked(e)
 	delete(c.byKey, e.key)
-	switch e.kind {
-	case entrySolve:
-		delete(c.bySolve, e.solve)
-	case entrySim:
-		delete(c.bySim, e.sim)
-	}
 	c.curBytes -= int64(len(e.body))
 	c.evictions.Inc()
 }

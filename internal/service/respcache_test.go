@@ -12,13 +12,12 @@ import (
 	"repro/internal/gtpn"
 )
 
-func testSolveParams() solveParams {
-	return solveParams{arch: 2, conversations: 1, hosts: 1, serverComputeUS: 1140}
-}
-
 // A cached response must be the exact bytes a fresh server would
 // encode: the cache stores what the encoder produced, so a hit is
-// byte-identical to a cold compute, across solve and simulate.
+// byte-identical to a cold compute, across solve and simulate. The rows
+// run in order against one warm server, so a request whose identity
+// aliased an earlier row's (-0 after 0: equal as numbers, echoed
+// differently) would be caught answering the earlier row's bytes.
 func TestRespCacheByteIdentity(t *testing.T) {
 	_, warm := testServer(t, Config{})
 	_, cold := testServer(t, Config{RespCacheEntries: -1})
@@ -27,19 +26,89 @@ func TestRespCacheByteIdentity(t *testing.T) {
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/solve", solveBody},
 		{"/v1/simulate", simBody},
+		{"/v1/solve", `{"arch":2,"conversations":1,"server_compute_us":0}`},
+		{"/v1/solve", `{"arch":2,"conversations":1,"server_compute_us":-0}`},
+		{"/v1/solve", `{"arch":2,"conversations":1,"server_compute_us":0,"hosts":1}`},
+		{"/v1/simulate", `{"arch":2,"conversations":1,"server_compute_us":0,"seconds":1}`},
+		{"/v1/simulate", `{"arch":2,"conversations":1,"server_compute_us":-0,"seconds":1}`},
 	} {
 		code, _, first := post(t, warm.URL+tc.path, tc.body)
 		if code != 200 {
-			t.Fatalf("%s: %d %s", tc.path, code, first)
+			t.Fatalf("%s %s: %d %s", tc.path, tc.body, code, first)
 		}
 		code, _, hit := post(t, warm.URL+tc.path, tc.body)
 		if code != 200 || !bytes.Equal(hit, first) {
-			t.Fatalf("%s cached response diverged:\n  %s\n  %s", tc.path, first, hit)
+			t.Fatalf("%s %s cached response diverged:\n  %s\n  %s", tc.path, tc.body, first, hit)
 		}
 		code, _, fresh := post(t, cold.URL+tc.path, tc.body)
 		if code != 200 || !bytes.Equal(hit, fresh) {
-			t.Fatalf("%s cached vs freshly encoded:\n  %s\n  %s", tc.path, hit, fresh)
+			t.Fatalf("%s %s cached vs freshly encoded:\n  %s\n  %s", tc.path, tc.body, hit, fresh)
 		}
+	}
+}
+
+// A request's identity is its validated parameters: defaults applied
+// before keying (an omitted field keys as its default), and every
+// single-field change a distinct key — the flight group, the ring and
+// the response cache all rely on that one string.
+func TestRequestKeyIdentity(t *testing.T) {
+	const (
+		solveBase = `{"arch":2,"conversations":1,"server_compute_us":1140}`
+		simBase   = `{"arch":2,"conversations":1,"server_compute_us":1140,"seconds":2,"seed":7,"replications":2}`
+	)
+	key := func(q computeRequest, body string) string {
+		t.Helper()
+		if err := json.Unmarshal([]byte(body), q); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.validate(); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return string(q.appendKey(nil))
+	}
+	solveKey := func(body string) string { return key(new(solveRequest), body) }
+	simKey := func(body string) string { return key(new(simulateRequest), body) }
+
+	for _, tc := range []struct {
+		name string
+		a, b string
+		sim  bool
+		same bool
+	}{
+		{"hosts omitted = hosts 1", solveBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"hosts":1}`, false, true},
+		{"field order", solveBase, `{"server_compute_us":1140,"conversations":1,"arch":2}`, false, true},
+		{"arch", solveBase, `{"arch":3,"conversations":1,"server_compute_us":1140}`, false, false},
+		{"conversations", solveBase, `{"arch":2,"conversations":2,"server_compute_us":1140}`, false, false},
+		{"hosts", solveBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"hosts":2}`, false, false},
+		{"server_compute_us", solveBase, `{"arch":2,"conversations":1,"server_compute_us":1141}`, false, false},
+		{"-0", `{"arch":2,"conversations":1,"server_compute_us":0}`, `{"arch":2,"conversations":1,"server_compute_us":-0}`, false, false},
+		{"non_local", solveBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"non_local":true}`, false, false},
+		{"sim defaults", `{"arch":2,"conversations":1,"server_compute_us":1140}`, `{"arch":2,"conversations":1,"server_compute_us":1140,"hosts":1,"seconds":10,"seed":1,"replications":1}`, true, true},
+		{"sim arch", simBase, `{"arch":1,"conversations":1,"server_compute_us":1140,"seconds":2,"seed":7,"replications":2}`, true, false},
+		{"sim hosts", simBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"hosts":2,"seconds":2,"seed":7,"replications":2}`, true, false},
+		{"sim non_local", simBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"non_local":true,"seconds":2,"seed":7,"replications":2}`, true, false},
+		{"sim seconds", simBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"seconds":3,"seed":7,"replications":2}`, true, false},
+		{"sim seed", simBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"seconds":2,"seed":8,"replications":2}`, true, false},
+		{"sim replications", simBase, `{"arch":2,"conversations":1,"server_compute_us":1140,"seconds":2,"seed":7,"replications":3}`, true, false},
+	} {
+		ka, kb := solveKey(tc.a), solveKey(tc.b)
+		if tc.sim {
+			ka, kb = simKey(tc.a), simKey(tc.b)
+		}
+		if (ka == kb) != tc.same {
+			t.Errorf("%s: keys %q and %q, want same=%v", tc.name, ka, kb, tc.same)
+		}
+	}
+	// A solve and a simulate of the same point never share a key, and
+	// the exported SolveKey is the key /v1/solve uses.
+	if solveKey(solveBase) == simKey(solveBase) {
+		t.Error("solve and simulate keys collide")
+	}
+	if k, err := SolveKey(2, 1, 0, 1140, false); err != nil || k != solveKey(solveBase) {
+		t.Errorf("SolveKey = %q, %v; want %q", k, err, solveKey(solveBase))
+	}
+	if _, err := SolveKey(9, 1, 1, 1140, false); err == nil {
+		t.Error("SolveKey accepted an invalid point")
 	}
 }
 
@@ -115,28 +184,25 @@ func TestRespCacheDisabled(t *testing.T) {
 // Eviction is strict LRU over both lookups and stores.
 func TestRespCacheLRUEvictionOrder(t *testing.T) {
 	c := newRespCache(2, 0)
-	pa := solveParams{arch: 1}
-	pb := solveParams{arch: 2}
-	pc := solveParams{arch: 3}
-	c.putSolve(pa, "a", []byte("A"))
-	c.putSolve(pb, "b", []byte("B"))
-	c.getSolve(pa) // touch A: B becomes the LRU entry
-	c.putSolve(pc, "c", []byte("C"))
+	c.putLocal("a", []byte("A"))
+	c.putLocal("b", []byte("B"))
+	c.get([]byte("a")) // touch A: B becomes the LRU entry
+	c.putLocal("c", []byte("C"))
 
-	if _, _, ok := c.getSolve(pb); ok {
+	if _, _, ok := c.get([]byte("b")); ok {
 		t.Fatal("b survived eviction; LRU order broken")
 	}
-	if _, _, ok := c.getSolve(pa); !ok {
+	if _, _, ok := c.get([]byte("a")); !ok {
 		t.Fatal("a was evicted despite being recently used")
 	}
-	if _, _, ok := c.getSolve(pc); !ok {
+	if _, _, ok := c.get([]byte("c")); !ok {
 		t.Fatal("c missing right after store")
 	}
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", st)
 	}
-	// The evicted entry must be gone from every index.
+	// The evicted entry must be gone from the cluster's view too.
 	if _, ok := c.GetKey("b"); ok {
 		t.Fatal("b still reachable by key after eviction")
 	}
@@ -148,7 +214,7 @@ func TestRespCacheBoundedUnderChurn(t *testing.T) {
 	c := newRespCache(8, 1<<12)
 	body := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 1000; i++ {
-		c.putSolve(solveParams{arch: i}, fmt.Sprintf("k%d", i), body)
+		c.putLocal(fmt.Sprintf("k%d", i), body)
 		st := c.Stats()
 		if st.Entries > 8 || st.Bytes > 1<<12 {
 			t.Fatalf("bounds violated at insert %d: %+v", i, st)
@@ -165,8 +231,8 @@ func TestRespCacheBoundedUnderChurn(t *testing.T) {
 func TestRespCacheByteBound(t *testing.T) {
 	c := newRespCache(100, 256)
 	big := bytes.Repeat([]byte("y"), 200)
-	c.putSolve(solveParams{arch: 1}, "a", big)
-	c.putSolve(solveParams{arch: 2}, "b", big) // 400 bytes total: a must go
+	c.putLocal("a", big)
+	c.putLocal("b", big) // 400 bytes total: a must go
 	if _, ok := c.GetKey("a"); ok {
 		t.Fatal("a survived a byte-bound eviction")
 	}
@@ -200,28 +266,41 @@ func TestRespCacheNoErrorCaching(t *testing.T) {
 	}
 }
 
-// Replica pushes are key-index only: the local typed fast path must not
-// serve them (that is the cluster Route's job, where entitlement and
-// replica-hit accounting live).
+// Replica pushes are served only through the cluster's key view: the
+// local fast path must not serve them (that is the cluster Route's job,
+// where entitlement and replica-hit accounting live), even when the
+// pushed key is exactly the key a local request formats.
 func TestRespCacheReplicaKeyOnly(t *testing.T) {
+	key, err := SolveKey(2, 1, 1, 1140, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := newRespCache(8, 0)
-	if !c.PutReplica("some-flight-key", []byte("pushed")) {
+	if !c.PutReplica(key, []byte("pushed")) {
 		t.Fatal("push refused")
 	}
-	if _, ok := c.GetKey("some-flight-key"); !ok {
+	if _, ok := c.GetKey(key); !ok {
 		t.Fatal("pushed entry must be reachable by key")
 	}
-	if _, _, ok := c.getSolve(testSolveParams()); ok {
-		t.Fatal("a replica push must never appear in the typed index")
+	if _, _, ok := c.get([]byte(key)); ok {
+		t.Fatal("a replica push must never be served by the local fast path")
 	}
-	// A local compute for the same key upgrades the entry in place.
-	p := testSolveParams()
-	c.putSolve(p, "some-flight-key", []byte("pushed"))
-	if key, body, ok := c.getSolve(p); !ok || key != "some-flight-key" || string(body) != "pushed" {
-		t.Fatalf("upgrade failed: %q %q %v", key, body, ok)
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("the vetoed lookup must count as a miss: %+v", st)
+	}
+	// A local compute for the same key makes the entry locally
+	// serveable in place.
+	c.putLocal(key, []byte("pushed"))
+	if k, body, ok := c.get([]byte(key)); !ok || k != key || string(body) != "pushed" {
+		t.Fatalf("upgrade failed: %q %q %v", k, body, ok)
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("upgrade duplicated the entry: %+v", st)
+	}
+	// A later push of the same key must not demote it again.
+	c.PutReplica(key, []byte("pushed"))
+	if _, _, ok := c.get([]byte(key)); !ok {
+		t.Fatal("a replica re-push demoted a locally computed entry")
 	}
 }
 
@@ -272,10 +351,10 @@ func TestRespCacheClusterEntitlementGate(t *testing.T) {
 // contract the hardware counters carry.
 func TestRespCacheHitPathDoesNotAllocate(t *testing.T) {
 	c := newRespCache(8, 0)
-	p := testSolveParams()
-	c.putSolve(p, "k", []byte("body"))
+	c.putLocal("k", []byte("body"))
+	scratch := []byte("k")
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := c.getSolve(p); !ok {
+		if _, _, ok := c.get(scratch); !ok {
 			t.Fatal("entry vanished")
 		}
 		c.served()

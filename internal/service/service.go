@@ -280,6 +280,8 @@ type statusWriter struct {
 	// rec is the request's observability record, embedded by value so
 	// the untraced fast path fills it without allocating.
 	rec requestRecord
+	// key is scratch for formatting the request key (requestKey).
+	key []byte
 }
 
 var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -749,10 +751,6 @@ func (q *solveRequest) validate() error {
 	return nil
 }
 
-func (q *solveRequest) system() *core.System {
-	return core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts))
-}
-
 func (q *solveRequest) workload() core.Workload {
 	return core.Workload{
 		Conversations:   q.Conversations,
@@ -779,26 +777,78 @@ func (q *solveRequest) canonicalBody() []byte {
 	return marshalDet(q.echo())
 }
 
-// SolveKey is the coalescing/routing key for one solve point: the
-// canonical GTPN net signature, prefixed with the request parameters so
-// the echoed fields stay honest even if two distinct points ever signed
-// identically. Exported so cluster tooling and tests can locate a
-// point's owner on the ring without re-deriving the format.
-func SolveKey(arch, conversations, hosts int, serverComputeUS float64, nonLocal bool) (string, error) {
-	sys := core.New(core.Arch(arch), core.WithHosts(hosts))
-	sig, err := sys.CoalesceKey(core.Workload{
-		Conversations:   conversations,
-		ServerComputeUS: serverComputeUS,
-		NonLocal:        nonLocal,
-	})
+// appendKey appends the point's identity: every validated parameter,
+// nothing derived. Floats are formatted as the response encoder formats
+// them, so two requests share a key exactly when they share a body (-0
+// and 0 echo differently, so they key differently).
+func (q *solveRequest) appendKey(dst []byte) []byte {
+	return q.appendPoint(append(dst, "solve"...))
+}
+
+func (q *solveRequest) appendPoint(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "|a="...), int64(q.Arch), 10)
+	dst = strconv.AppendInt(append(dst, "|n="...), int64(q.Conversations), 10)
+	dst = strconv.AppendInt(append(dst, "|h="...), int64(q.Hosts), 10)
+	dst = strconv.AppendFloat(append(dst, "|x="...), q.ServerComputeUS, 'g', -1, 64)
+	return strconv.AppendBool(append(dst, "|nl="...), q.NonLocal)
+}
+
+func (q *solveRequest) compute(ctx context.Context) flightResult {
+	sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts))
+	pred, err := sys.AnalyzeContext(ctx, q.workload())
 	if err != nil {
+		return solveError(err)
+	}
+	sp := trace.ScopeFrom(ctx).Begin("encode", "serve")
+	body := q.echo()
+	body["offered_load"] = pred.OfferedLoad
+	body["round_trip_us"] = pred.RoundTripUS
+	body["states"] = pred.States
+	body["throughput_rps"] = pred.Throughput
+	res := flightResult{status: http.StatusOK, body: marshalDet(body)}
+	sp.End()
+	return res
+}
+
+// SolveKey is the coalescing/routing key for one solve point: its
+// validated parameters formatted as one string, exactly as /v1/solve
+// keys its flight, ring position and cached response. Exported so
+// cluster tooling and tests can locate a point's owner on the ring
+// without re-deriving the format. The error reports an invalid point.
+func SolveKey(arch, conversations, hosts int, serverComputeUS float64, nonLocal bool) (string, error) {
+	q := solveRequest{Arch: arch, Conversations: conversations, Hosts: hosts,
+		ServerComputeUS: serverComputeUS, NonLocal: nonLocal}
+	if err := q.validate(); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("solve|a=%d|n=%d|h=%d|x=%s|nl=%t|%s",
-		arch, conversations, hosts, formatFloatKey(serverComputeUS), nonLocal, sig), nil
+	return string(q.appendKey(nil)), nil
+}
+
+// computeRequest is the body of a served computation. /v1/solve and
+// /v1/simulate share one pipeline — decode, validate, response-cache
+// fast path, key, canonical body, coalesce, store — and differ only in
+// these methods.
+type computeRequest interface {
+	// validate normalizes and bounds-checks the decoded request.
+	validate() error
+	// appendKey appends the request's identity — the flight, ring,
+	// replica-push and response-cache key — to dst.
+	appendKey(dst []byte) []byte
+	// canonicalBody is the validated request as forwarded to a peer.
+	canonicalBody() []byte
+	// compute answers the request locally.
+	compute(ctx context.Context) flightResult
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	s.serveCompute(w, r, "solve", new(solveRequest))
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	s.serveCompute(w, r, "simulate", new(simulateRequest))
+}
+
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, route string, q computeRequest) {
 	rec := recordOf(w)
 	hops, rejected := s.checkHops(w, r)
 	if rejected {
@@ -806,10 +856,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.hops = hops
 	sc := trace.ScopeFrom(r.Context())
-	var q solveRequest
 	sp := sc.Begin("decode", "serve")
 	t0 := time.Now()
-	decoded := s.decodeBody(w, r, &q)
+	decoded := s.decodeBody(w, r, q)
 	rec.decodeUS = time.Since(t0).Microseconds()
 	sp.End()
 	if !decoded {
@@ -819,23 +868,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	p := solveParams{
-		arch:            q.Arch,
-		conversations:   q.Conversations,
-		hosts:           q.Hosts,
-		serverComputeUS: q.ServerComputeUS,
-		nonLocal:        q.NonLocal,
-	}
+	kb := requestKey(w, q)
 	// The zero-allocation fast path: an identical validated request has
-	// preencoded bytes. Keyed by the parameter struct — deriving the
-	// flight key would build a GTPN net just to sign it — and gated on
-	// cluster entitlement at serve time, so a node answers only keys its
-	// current ring says it owns or replicates. Traced requests take the
-	// full path: a sampled trace exists to show the pipeline.
+	// preencoded bytes, found by the key formatted into scratch and
+	// gated on cluster entitlement at serve time, so a node answers only
+	// keys its current ring says it owns or replicates. Traced requests
+	// take the full path: a sampled trace exists to show the pipeline.
 	if sc == nil {
-		if ckey, body, ok := s.respCache.getSolve(p); ok && s.cacheServeable(ckey) {
+		if key, body, ok := s.respCache.get(kb); ok && s.cacheServeable(key) {
 			s.respCache.served()
-			rec.key = ckey
+			rec.key = key
 			rec.setDecision(decisionRespCacheHit)
 			writeDet(w, http.StatusOK, nil, body)
 			return
@@ -844,36 +886,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.respCache.TraceBypass()
 		sc.Instant("respcache.bypass", "serve")
 	}
-	sys := q.system()
-	key, err := SolveKey(q.Arch, q.Conversations, q.Hosts, q.ServerComputeUS, q.NonLocal)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error(), nil)
-		return
-	}
+	key := string(kb)
 	rec.key = key
 	fsp := sc.Begin("forward.encode", "serve")
 	canonical := q.canonicalBody()
 	fsp.End()
-	spec := ComputeSpec{Route: "solve", Key: key, Body: canonical, Hops: hops, RequestID: rec.id.String()}
-	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
-		pred, err := sys.AnalyzeContext(ctx, q.workload())
-		if err != nil {
-			return solveError(err)
-		}
-		sp := trace.ScopeFrom(ctx).Begin("encode", "serve")
-		body := q.echo()
-		body["offered_load"] = pred.OfferedLoad
-		body["round_trip_us"] = pred.RoundTripUS
-		body["states"] = pred.States
-		body["throughput_rps"] = pred.Throughput
-		res := flightResult{status: http.StatusOK, body: marshalDet(body)}
-		sp.End()
-		return res
-	}, func(body []byte) {
+	spec := ComputeSpec{Route: route, Key: key, Body: canonical, Hops: hops, RequestID: rec.id.String()}
+	s.coalesce(w, r, spec, q.compute, func(body []byte) {
 		if s.cacheServeable(key) {
-			s.respCache.putSolve(p, key, body)
+			s.respCache.putLocal(key, body)
 		}
 	})
+}
+
+// requestKey formats q's key into the pooled writer's scratch buffer,
+// so a cache hit looks its key up without allocating; the bytes are
+// valid until the writer is reused. A bare writer gets a fresh buffer.
+func requestKey(w http.ResponseWriter, q computeRequest) []byte {
+	sw, ok := w.(*statusWriter)
+	if !ok {
+		return q.appendKey(nil)
+	}
+	sw.key = q.appendKey(sw.key[:0])
+	return sw.key
 }
 
 // cacheServeable reports whether this node may answer key from its
@@ -932,81 +967,30 @@ func (q *simulateRequest) canonicalBody() []byte {
 	return marshalDet(body)
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	rec := recordOf(w)
-	hops, rejected := s.checkHops(w, r)
-	if rejected {
-		return
+// appendKey is the point's key plus the ensemble: the seed is part of
+// the request, so it is part of the identity.
+func (q *simulateRequest) appendKey(dst []byte) []byte {
+	dst = q.appendPoint(append(dst, "sim"...))
+	dst = strconv.AppendInt(append(dst, "|s="...), q.Seconds, 10)
+	dst = strconv.AppendUint(append(dst, "|seed="...), q.Seed, 10)
+	return strconv.AppendInt(append(dst, "|reps="...), int64(q.Replications), 10)
+}
+
+func (q *simulateRequest) compute(ctx context.Context) flightResult {
+	sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts), core.WithSeed(q.Seed))
+	// One worker per ensemble: the HTTP pool is the concurrency bound.
+	meas, err := sys.MeasureManyContext(ctx, q.workload(), q.Seconds, q.Replications, 1)
+	if err != nil {
+		return solveError(err)
 	}
-	rec.hops = hops
-	sc := trace.ScopeFrom(r.Context())
-	var q simulateRequest
-	sp := sc.Begin("decode", "serve")
-	t0 := time.Now()
-	decoded := s.decodeBody(w, r, &q)
-	rec.decodeUS = time.Since(t0).Microseconds()
-	sp.End()
-	if !decoded {
-		return
-	}
-	if err := q.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-	p := simParams{
-		solveParams: solveParams{
-			arch:            q.Arch,
-			conversations:   q.Conversations,
-			hosts:           q.Hosts,
-			serverComputeUS: q.ServerComputeUS,
-			nonLocal:        q.NonLocal,
-		},
-		seconds:      q.Seconds,
-		seed:         q.Seed,
-		replications: q.Replications,
-	}
-	// Simulations are seeded and therefore deterministic too: the same
-	// fast path as solve, with the ensemble parameters in the identity.
-	if sc == nil {
-		if ckey, body, ok := s.respCache.getSim(p); ok && s.cacheServeable(ckey) {
-			s.respCache.served()
-			rec.key = ckey
-			rec.setDecision(decisionRespCacheHit)
-			writeDet(w, http.StatusOK, nil, body)
-			return
-		}
-	} else if s.respCache != nil {
-		s.respCache.TraceBypass()
-		sc.Instant("respcache.bypass", "serve")
-	}
-	key := fmt.Sprintf("sim|a=%d|n=%d|h=%d|x=%s|nl=%t|s=%d|seed=%d|reps=%d",
-		q.Arch, q.Conversations, q.Hosts, formatFloatKey(q.ServerComputeUS),
-		q.NonLocal, q.Seconds, q.Seed, q.Replications)
-	rec.key = key
-	fsp := sc.Begin("forward.encode", "serve")
-	canonical := q.canonicalBody()
-	fsp.End()
-	spec := ComputeSpec{Route: "simulate", Key: key, Body: canonical, Hops: hops, RequestID: rec.id.String()}
-	s.coalesce(w, r, spec, func(ctx context.Context) flightResult {
-		sys := core.New(core.Arch(q.Arch), core.WithHosts(q.Hosts), core.WithSeed(q.Seed))
-		// One worker per ensemble: the HTTP pool is the concurrency bound.
-		meas, err := sys.MeasureManyContext(ctx, q.workload(), q.Seconds, q.Replications, 1)
-		if err != nil {
-			return solveError(err)
-		}
-		body := q.echo()
-		body["replications"] = q.Replications
-		body["round_trip_us"] = meas.RoundTripUS
-		body["round_trips"] = meas.RoundTrips
-		body["seconds"] = q.Seconds
-		body["seed"] = q.Seed
-		body["throughput_rps"] = meas.Throughput
-		return flightResult{status: http.StatusOK, body: marshalDet(body)}
-	}, func(body []byte) {
-		if s.cacheServeable(key) {
-			s.respCache.putSim(p, key, body)
-		}
-	})
+	body := q.echo()
+	body["replications"] = q.Replications
+	body["round_trip_us"] = meas.RoundTripUS
+	body["round_trips"] = meas.RoundTrips
+	body["seconds"] = q.Seconds
+	body["seed"] = q.Seed
+	body["throughput_rps"] = meas.Throughput
+	return flightResult{status: http.StatusOK, body: marshalDet(body)}
 }
 
 // solveError maps a computation error to a response: deadline and
