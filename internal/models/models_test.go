@@ -131,8 +131,6 @@ func TestLocalModelSimulatorAgreement(t *testing.T) {
 	relNear(t, sim.Throughput, sol.Throughput, 0.02, "sim vs solver throughput")
 }
 
-// Non-local fixed point: one conversation's round trip approximates the
-// serial sum of the client and server stage means.
 // A solve that missed its tolerance is refused with its residual, not
 // turned into rates: the check the local result and both halves of the
 // non-local fixed point share.
@@ -152,6 +150,8 @@ func TestConvergedRejectsUnconvergedSolution(t *testing.T) {
 	}
 }
 
+// Non-local fixed point: one conversation's round trip approximates the
+// serial sum of the client and server stage means.
 func TestNonLocalSingleConversation(t *testing.T) {
 	res, err := SolveNonLocal(timing.ArchII, 1, 1, 0, SolveOptions{})
 	if err != nil {
